@@ -299,8 +299,7 @@ def run_lockstep(trace, capacity, policy_name, adaptation=ADAPT_UNIT):
     )
     opt_cache = frozenset()
     breakdown_before = potential(policy, opt_cache)
-    for i, page in enumerate(trace):
-        step = schedule.steps[i]
+    for i, (page, step) in enumerate(zip(trace, schedule.steps)):
         full_before = policy.is_full
         after_opt = potential(policy, step.cache_after)
         sizes_start = None

@@ -1,7 +1,8 @@
 """Shared domain types and the contract every replacement policy implements.
 
 Pages are opaque tokens: any hashable value whose str() form contains no
-whitespace. Integer block numbers and string keys both work; two requests
+whitespace and none of the characters ``*,[]`` that digests use as syntax
+(parse_trace rejects such tokens). Integer block numbers and string keys both work; two requests
 name the same page exactly when their tokens compare equal.
 
 Unlike a production cache, every policy here exposes its complete internal

@@ -30,10 +30,17 @@ class TraceParseError(ValueError):
     pass
 
 
+# characters that policy digests use as syntax; a token holding one would
+# render ambiguously (the token "5*" looks like a marked page 5)
+RESERVED_TOKEN_CHARS = "*,[]"
+
+
 def parse_trace(data):
     """Tokens of a trace file: whitespace separated, '#' lines are
     comments, blank lines are skipped. Accepts bytes or str; invalid
-    UTF-8 raises TraceParseError naming the byte offset."""
+    UTF-8 raises TraceParseError naming the byte offset, and a token
+    containing one of RESERVED_TOKEN_CHARS raises it naming the token
+    and its line."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -43,12 +50,22 @@ def parse_trace(data):
             ) from exc
     else:
         text = data
+    # comments may hold reserved characters; scan tokens only if the text does
+    check_reserved = any(c in text for c in RESERVED_TOKEN_CHARS)
     tokens = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        tokens.extend(stripped.split())
+        words = stripped.split()
+        if check_reserved:
+            for word in words:
+                if any(c in word for c in RESERVED_TOKEN_CHARS):
+                    raise TraceParseError(
+                        "trace token %r on line %d contains one of the reserved characters %s"
+                        % (word, number, RESERVED_TOKEN_CHARS)
+                    )
+        tokens.extend(words)
     return tokens
 
 

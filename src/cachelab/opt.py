@@ -9,8 +9,11 @@ cross-checked against each other.
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import islice
 
 from .core import canonical_key
 
@@ -24,18 +27,66 @@ class OptStep:
 
 @dataclass
 class OptSchedule:
-    """Per-request record of the optimal run: hit flags, evictions, and
-    the full cache contents after each step."""
+    """The optimal run, stored compactly: one hit flag per request, and
+    for each miss, in order, the page it admitted and the page it evicted
+    (None while the cache was still filling). `steps` rebuilds the
+    per-request OptStep records from these on demand."""
 
     capacity: int
-    steps: list = field(default_factory=list)
+    hits: bytes
+    admitted: tuple
+    evicted: tuple
 
     @property
     def miss_count(self):
-        return sum(1 for s in self.steps if not s.was_hit)
+        return len(self.admitted)
 
     def miss_flags(self):
-        return [not s.was_hit for s in self.steps]
+        return [not hit for hit in self.hits]
+
+    @property
+    def steps(self):
+        return OptSteps(self)
+
+
+class OptSteps(Sequence):
+    """Read-only sequence of the OptStep records of a schedule.
+
+    Records are rebuilt by replaying the schedule forward from the first
+    request. Demand paging changes the cache only on a miss, so one
+    frozenset is built per miss and shared by the hits that follow it.
+    Iterate for sequential access: steps[i] replays requests 0..i.
+    """
+
+    def __init__(self, schedule):
+        self._schedule = schedule
+
+    def __len__(self):
+        return len(self._schedule.hits)
+
+    def __iter__(self):
+        schedule = self._schedule
+        cache = set()
+        hit_step = OptStep(True, None, frozenset())
+        misses = 0
+        for hit in schedule.hits:
+            if hit:
+                yield hit_step
+                continue
+            evicted = schedule.evicted[misses]
+            if len(cache) == schedule.capacity:
+                cache.remove(evicted)
+            cache.add(schedule.admitted[misses])
+            misses += 1
+            snapshot = frozenset(cache)
+            hit_step = OptStep(True, None, snapshot)
+            yield OptStep(False, evicted, snapshot)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        position = range(len(self))[index]  # normalises negatives, raises IndexError
+        return next(islice(self, position, None))
 
 
 def annotate_next_use(trace):
@@ -55,33 +106,51 @@ def belady_run(trace, capacity):
 
     On a miss with a full cache the victim is the page with the furthest
     next use; among pages never used again the one with the smallest
-    canonical token order goes, which keeps runs deterministic (any such
-    choice is optimal).
+    canonical token order goes, and among those the one admitted
+    earliest, which keeps runs deterministic (any such choice is
+    optimal).
+
+    The victim comes from a lazy max-heap of (-next use, canonical key,
+    admission number, page) entries. The admission number is unique, so
+    entries never compare pages. A hit pushes a fresh entry for its page
+    and leaves the old one stale. A stale entry's next use has already
+    passed, so every live entry outranks it, and one that is popped all
+    the same is skipped. The heap is rebuilt from the live entries
+    whenever it outgrows 4N, so each request costs O(log N).
     """
     if capacity < 1:
         raise ValueError("capacity must be at least 1, got %r" % (capacity,))
     next_use = annotate_next_use(trace)
-    cache = {}  # page -> index of its next use
-    schedule = OptSchedule(capacity=capacity)
+    live = {}  # cached page -> its current heap entry
+    heap = []
+    hits = bytearray()
+    admitted = []
+    evicted = []
     for i, page in enumerate(trace):
-        if page in cache:
-            cache[page] = next_use[i]
-            schedule.steps.append(OptStep(True, None, frozenset(cache)))
-            continue
-        evicted = None
-        if len(cache) == capacity:
+        entry = live.get(page)
+        if entry is not None:
+            entry = (-next_use[i], entry[1], entry[2], page)
+            hits.append(1)
+        else:
             victim = None
-            victim_use = -1
-            for cached, use in cache.items():
-                if use > victim_use or (
-                    use == victim_use and canonical_key(cached) < canonical_key(victim)
-                ):
-                    victim, victim_use = cached, use
-            del cache[victim]
-            evicted = victim
-        cache[page] = next_use[i]
-        schedule.steps.append(OptStep(False, evicted, frozenset(cache)))
-    return schedule
+            if len(live) == capacity:
+                while True:
+                    top = heapq.heappop(heap)
+                    if live.get(top[3]) is top:
+                        break
+                victim = top[3]
+                del live[victim]
+            entry = (-next_use[i], canonical_key(page), len(admitted), page)
+            hits.append(0)
+            admitted.append(page)
+            evicted.append(victim)
+        live[page] = entry
+        if len(heap) >= 4 * capacity:
+            heap = list(live.values())
+            heapq.heapify(heap)
+        else:
+            heapq.heappush(heap, entry)
+    return OptSchedule(capacity, bytes(hits), tuple(admitted), tuple(evicted))
 
 
 def exhaustive_opt(trace, capacity, max_length=12, max_distinct=5, max_capacity=3):

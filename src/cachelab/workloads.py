@@ -9,6 +9,7 @@ output modulo the range; unit-interval draws use the top 53 bits.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -142,7 +143,8 @@ def parse_workload(text, default_seed=0):
     """Parse "kind:key=value,..." into a WorkloadSpec.
 
     Example: "zipf:universe=100,alpha=0.8,length=1000,seed=42". A missing
-    seed falls back to default_seed; other fields are required.
+    seed falls back to default_seed; other fields are required. A
+    negative length or a non-finite alpha raises ValueError.
     """
     kind, _, rest = text.partition(":")
     kind = kind.strip()
@@ -165,4 +167,8 @@ def parse_workload(text, default_seed=0):
     missing = sorted(set(fields) - set(params))
     if missing:
         raise ValueError("workload %r is missing parameters: %s" % (kind, ", ".join(missing)))
+    if params["length"] < 0:
+        raise ValueError("workload length must be non-negative, got %d" % params["length"])
+    if "alpha" in params and not math.isfinite(params["alpha"]):
+        raise ValueError("workload alpha must be finite, got %r" % params["alpha"])
     return WorkloadSpec(kind=kind, params=tuple(sorted(params.items())))

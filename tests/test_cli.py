@@ -115,3 +115,33 @@ def test_missing_arguments_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--policy", "lru"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("token", ["5*", "a,b", "[x", "y]"])
+def test_ambiguous_trace_token_exits_two(tmp_path, capsys, token):
+    path = tmp_path / "trace.txt"
+    path.write_text("# header, with a comma*\n1 2\n3 %s 4\n" % token)
+    code, out, err = run_cli(capsys, "simulate", "--policy", "clock", "--cache-size", "2",
+                             "--trace", str(path))
+    assert code == 2
+    assert out == ""
+    assert repr(token) in err
+    assert "line 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_non_finite_alpha_exits_two(capsys, alpha):
+    code, out, err = run_cli(capsys, "compare", "--cache-size", "4",
+                             "--workload", "zipf:universe=10,alpha=%s,length=20,seed=1" % alpha)
+    assert code == 2
+    assert out == ""
+    assert "alpha must be finite" in err
+
+
+def test_negative_length_exits_two(capsys):
+    code, out, err = run_cli(capsys, "compare", "--cache-size", "4",
+                             "--workload", "zipf:universe=10,alpha=0.9,length=-5,seed=1")
+    assert code == 2
+    assert out == ""
+    assert "length must be non-negative" in err

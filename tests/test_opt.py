@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachelab import (
     annotate_next_use,
@@ -9,8 +10,11 @@ from cachelab import (
     exhaustive_opt,
     gen_cycle,
     gen_fuzz,
+    gen_scan_mix,
+    gen_zipf,
     make_policy,
 )
+from cachelab.core import canonical_key
 
 INF = math.inf
 
@@ -102,3 +106,109 @@ def test_optimality_dominates_online_policies():
             policy = make_policy(name, 4)
             misses = sum(0 if policy.request(p).was_hit else 1 for p in trace)
             assert opt_misses <= misses
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the linear-scan oracle that belady_run replaced
+
+
+def reference_belady_steps(trace, capacity):
+    """The former belady_run: scan every cached page on each miss (ties
+    by canonical key, then by dict order, i.e. earliest admission) and
+    snapshot the cache after every request."""
+    next_use = annotate_next_use(trace)
+    cache = {}
+    steps = []
+    for i, page in enumerate(trace):
+        if page in cache:
+            cache[page] = next_use[i]
+            steps.append((True, None, frozenset(cache)))
+            continue
+        evicted = None
+        if len(cache) == capacity:
+            victim = None
+            victim_use = -1
+            for cached, use in cache.items():
+                if use > victim_use or (
+                    use == victim_use and canonical_key(cached) < canonical_key(victim)
+                ):
+                    victim, victim_use = cached, use
+            del cache[victim]
+            evicted = victim
+        cache[page] = next_use[i]
+        steps.append((False, evicted, frozenset(cache)))
+    return steps
+
+
+def heap_steps(trace, capacity):
+    return [(s.was_hit, s.evicted, s.cache_after) for s in belady_run(trace, capacity).steps]
+
+
+DIFFERENTIAL_CONFIGS = [
+    (kind, n, seed)
+    for kind in ("fuzz", "zipf", "scan_mix")
+    for n in (1, 2, 3, 8)
+    for seed in range(40)
+]
+
+
+def _differential_trace(kind, seed):
+    if kind == "fuzz":
+        return gen_fuzz(12, 240, seed=seed)
+    if kind == "zipf":
+        return gen_zipf(40, 0.8, 240, seed=seed)
+    return gen_scan_mix(6, 5, 240, seed=seed)
+
+
+class TestHeapOracleAgainstLinearScan:
+    def test_same_steps_on_seeded_configs(self):
+        assert len(DIFFERENTIAL_CONFIGS) >= 480
+        for kind, n, seed in DIFFERENTIAL_CONFIGS:
+            trace = _differential_trace(kind, seed)
+            assert heap_steps(trace, n) == reference_belady_steps(trace, n), (kind, n, seed)
+
+    def test_long_hit_heavy_trace(self):
+        trace = gen_zipf(300, 1.1, 6000, seed=5)
+        assert heap_steps(trace, 16) == reference_belady_steps(trace, 16)
+
+    def test_mixed_types_tie_break_by_admission(self):
+        # 1 and "1" are distinct pages with the same canonical key; among
+        # pages never used again, the earlier admitted one goes first
+        schedule = belady_run([1, "1", 2], 2)
+        assert schedule.steps[2].evicted == 1
+        assert type(schedule.steps[2].evicted) is int
+        schedule = belady_run(["1", 1, 2], 2)
+        assert schedule.steps[2].evicted == "1"
+
+    def test_mixed_types_match_reference_without_type_error(self):
+        base = gen_fuzz(6, 400, seed=21)
+        trace = [p if i % 3 else str(p) for i, p in enumerate(base)]
+        trace += [None, (1,), 2.5, "None", "(1,)"]
+        for n in (1, 2, 3, 5):
+            assert heap_steps(trace, n) == reference_belady_steps(trace, n)
+
+    def test_steps_view_is_a_sequence(self):
+        trace = gen_fuzz(7, 60, seed=4)
+        steps = belady_run(trace, 3).steps
+        listed = list(steps)
+        assert len(steps) == len(listed) == 60
+        assert [steps[i] for i in range(60)] == listed
+        assert steps[-1] == listed[-1]
+        assert steps[5:9] == listed[5:9]
+        with pytest.raises(IndexError):
+            steps[60]
+
+    def test_schedule_stores_no_snapshots(self):
+        schedule = belady_run(gen_fuzz(7, 500, seed=8), 3)
+        assert len(schedule.hits) == 500
+        assert len(schedule.admitted) == len(schedule.evicted) == schedule.miss_count
+        assert schedule.miss_flags() == [not h for h in schedule.hits]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    trace=st.lists(st.integers(min_value=0, max_value=4), max_size=12),
+    capacity=st.integers(min_value=1, max_value=3),
+)
+def test_miss_count_matches_exhaustive(trace, capacity):
+    assert belady_run(trace, capacity).miss_count == exhaustive_opt(trace, capacity)

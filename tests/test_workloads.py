@@ -117,3 +117,19 @@ class TestParseWorkload:
     def test_bad_parameter_rejected(self):
         with pytest.raises(ValueError):
             parse_workload("fuzz:universe=8,length=10,bogus=1")
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            parse_workload("zipf:universe=10,alpha=%s,length=20,seed=1" % alpha)
+
+    @pytest.mark.parametrize("kind", [
+        "cycle:k=3", "fuzz:universe=8,seed=1", "zipf:universe=10,alpha=0.9,seed=1",
+        "scan_mix:hot=4,scan=2,seed=1",
+    ])
+    def test_negative_length_rejected(self, kind):
+        with pytest.raises(ValueError, match="length must be non-negative"):
+            parse_workload(kind + ",length=-5")
+
+    def test_zero_length_still_allowed(self):
+        assert parse_workload("fuzz:universe=8,length=0,seed=1").generate() == []
