@@ -13,6 +13,7 @@ from .analysis import (
     Phase,
     PotentialBreakdown,
     PrefixSizes,
+    Verification,
     Violation,
     ViolationReport,
     arc_potential,
@@ -27,6 +28,7 @@ from .analysis import (
     make_policy,
     mru_prefix_sizes,
     partition_phases,
+    run_checks,
     run_lockstep,
 )
 from .car import CarCache

@@ -1,5 +1,6 @@
 """Verification layer: potential functions, lockstep replay against the
-offline optimum, and per-step bound/invariant checkers.
+offline optimum, per-step bound/invariant checkers, and run_checks, the
+one streaming pass that drives them all.
 
 Every request is processed in two half-steps: the optimal schedule moves
 first, then the online policy. A potential function maps (policy state,
@@ -18,12 +19,12 @@ accounting close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .arc import ADAPT_UNIT, ArcCache
 from .car import CarCache
 from .classic import ClockCache, LruCache
-from .core import canonical_key
+from .core import canonical_key, check_page_tokens
 from .opt import belady_run
 
 DEFAULT_BOUND_MULTIPLIER = {"LRU": 1, "CLOCK": 2, "ARC": 4, "CAR": 21}
@@ -236,7 +237,7 @@ class LockstepEntry:
     phi_before: int
     phi_after_opt: int
     phi_after_alg: int
-    digest: str
+    digest: str | None  # the policy digest after the request, where one was rendered
     opt_cache: frozenset
     cache_full_before: bool
     outcome: object
@@ -262,9 +263,6 @@ class LockstepLog:
     def c_opt_total(self):
         return sum(e.c_opt for e in self.entries)
 
-    def miss_flags(self):
-        return [bool(e.c_alg) for e in self.entries]
-
 
 def make_policy(name, capacity, adaptation=ADAPT_UNIT):
     """Factory for the CLI / harness policy names."""
@@ -280,26 +278,20 @@ def make_policy(name, capacity, adaptation=ADAPT_UNIT):
     raise ValueError("unknown policy %r (expected lru, clock, arc or car)" % (name,))
 
 
-def run_lockstep(trace, capacity, policy_name, adaptation=ADAPT_UNIT):
-    """Replay a trace with the oracle moving first on every request.
+def _lockstep_entries(trace, policy):
+    """Serve a trace with the oracle moving first on every request.
 
-    Records costs, the potential before the request / after the oracle
-    half-step / after the policy half-step, the policy digest, and the
-    per-step audit data the checkers need.
+    Yields one LockstepEntry per request as soon as the policy has served
+    it, so the live policy is in the state the entry describes. An entry
+    records the costs, the potential before the request / after the
+    oracle half-step / after the policy half-step, and the per-step audit
+    data the checkers need; its digest is left None.
     """
-    policy = make_policy(policy_name, capacity, adaptation)
     potential = potential_for(policy)
     is_arc = isinstance(policy, ArcCache)
     is_car = isinstance(policy, CarCache)
-    schedule = belady_run(trace, capacity)
-    log = LockstepLog(
-        policy_kind=policy.kind,
-        adaptation=policy.adaptation if is_arc else None,
-        capacity=capacity,
-    )
-    opt_cache = frozenset()
-    breakdown_before = potential(policy, opt_cache)
-    for i, (page, step) in enumerate(zip(trace, schedule.steps)):
+    phi_before = potential(policy, frozenset()).phi
+    for i, (page, step) in enumerate(zip(trace, belady_run(trace, policy.capacity).steps)):
         full_before = policy.is_full
         after_opt = potential(policy, step.cache_after)
         sizes_start = None
@@ -307,28 +299,54 @@ def run_lockstep(trace, capacity, policy_name, adaptation=ADAPT_UNIT):
             sizes_start = (len(policy.t1), len(policy.t2), len(policy.b1), len(policy.b2))
         outcome = policy.request(page)
         after_alg = potential(policy, step.cache_after)
-        log.entries.append(
-            LockstepEntry(
-                index=i,
-                page=page,
-                c_opt=0 if step.was_hit else 1,
-                c_alg=0 if outcome.was_hit else 1,
-                phi_before=breakdown_before.phi,
-                phi_after_opt=after_opt.phi,
-                phi_after_alg=after_alg.phi,
-                digest=policy.digest(),
-                opt_cache=step.cache_after,
-                cache_full_before=full_before,
-                outcome=outcome,
-                prefixes_start=after_opt.prefixes,
-                prefixes_end=after_alg.prefixes,
-                sizes_start=sizes_start,
-                car_sum_r_opt=after_opt.term("sum_r") if is_car else None,
-                car_sum_r_alg=after_alg.term("sum_r") if is_car else None,
-            )
+        yield LockstepEntry(
+            index=i,
+            page=page,
+            c_opt=0 if step.was_hit else 1,
+            c_alg=0 if outcome.was_hit else 1,
+            phi_before=phi_before,
+            phi_after_opt=after_opt.phi,
+            phi_after_alg=after_alg.phi,
+            digest=None,
+            opt_cache=step.cache_after,
+            cache_full_before=full_before,
+            outcome=outcome,
+            prefixes_start=after_opt.prefixes,
+            prefixes_end=after_alg.prefixes,
+            sizes_start=sizes_start,
+            car_sum_r_opt=after_opt.term("sum_r") if is_car else None,
+            car_sum_r_alg=after_alg.term("sum_r") if is_car else None,
         )
-        opt_cache = step.cache_after
-        breakdown_before = after_alg
+        phi_before = after_alg.phi
+
+
+def _plain_entries(trace, policy):
+    """Serve a trace without the oracle, yielding entries as
+    _lockstep_entries does; their oracle and potential fields are None."""
+    for i, page in enumerate(trace):
+        full_before = policy.is_full
+        outcome = policy.request(page)
+        yield LockstepEntry(
+            index=i, page=page, c_opt=None, c_alg=0 if outcome.was_hit else 1,
+            phi_before=None, phi_after_opt=None, phi_after_alg=None, digest=None,
+            opt_cache=None, cache_full_before=full_before, outcome=outcome,
+        )
+
+
+def run_lockstep(trace, capacity, policy_name, adaptation=ADAPT_UNIT):
+    """Replay a trace with the oracle moving first on every request and
+    keep every entry, each with the policy digest after its request: the
+    log the log-based checkers below read."""
+    check_page_tokens(trace)
+    policy = make_policy(policy_name, capacity, adaptation)
+    log = LockstepLog(
+        policy_kind=policy.kind,
+        adaptation=policy.adaptation if isinstance(policy, ArcCache) else None,
+        capacity=capacity,
+    )
+    for entry in _lockstep_entries(trace, policy):
+        entry.digest = policy.digest()
+        log.entries.append(entry)
     return log
 
 
@@ -382,7 +400,7 @@ class ViolationReport:
         return [v.to_dict() for v in self.violations]
 
 
-def _violation(entry, step, check, lhs, rhs):
+def _violation(entry, step, check, lhs, rhs, digest):
     return Violation(
         index=entry.index,
         step=step,
@@ -390,13 +408,38 @@ def _violation(entry, step, check, lhs, rhs):
         lhs=lhs,
         rhs=rhs,
         page=entry.page,
-        digest=entry.digest,
+        digest=digest,
         opt_cache=tuple(sorted(entry.opt_cache, key=canonical_key)),
     )
 
 
+def _log_report(log, find, *args):
+    """Run a per-entry check, find(entry, *args) -> (step, check, lhs,
+    rhs) findings, over every entry of a log."""
+    report = ViolationReport()
+    for entry in log.entries:
+        for step, check, lhs, rhs in find(entry, *args):
+            report.violations.append(_violation(entry, step, check, lhs, rhs, entry.digest))
+    return report
+
+
 # ---------------------------------------------------------------------------
 # step and aggregate bound checks
+
+
+def _step_findings(entry, bound, gate_on_full):
+    """check_step_inequalities on one entry, for bound = c*N."""
+    if gate_on_full and not entry.cache_full_before:
+        return ()
+    found = []
+    rhs = bound * entry.c_opt
+    lhs = entry.c_alg + (entry.phi_after_alg - entry.phi_before)
+    if lhs > rhs:
+        found.append(("ALG", "request_bound", lhs, rhs))
+    opt_delta = entry.phi_after_opt - entry.phi_before
+    if opt_delta > rhs:
+        found.append(("OPT", "opt_step_bound", opt_delta, rhs))
+    return found
 
 
 def check_step_inequalities(log, c=None):
@@ -415,19 +458,7 @@ def check_step_inequalities(log, c=None):
     if c is None:
         c = DEFAULT_BOUND_MULTIPLIER[log.policy_kind]
     gate_on_full = log.policy_kind in ("ARC", "CAR")
-    bound = c * log.capacity
-    report = ViolationReport()
-    for entry in log.entries:
-        if gate_on_full and not entry.cache_full_before:
-            continue
-        rhs = bound * entry.c_opt
-        lhs = entry.c_alg + (entry.phi_after_alg - entry.phi_before)
-        if lhs > rhs:
-            report.violations.append(_violation(entry, "ALG", "request_bound", lhs, rhs))
-        opt_delta = entry.phi_after_opt - entry.phi_before
-        if opt_delta > rhs:
-            report.violations.append(_violation(entry, "OPT", "opt_step_bound", opt_delta, rhs))
-    return report
+    return _log_report(log, _step_findings, c * log.capacity, gate_on_full)
 
 
 def check_aggregate_bound(c_alg_total, c_opt_total, capacity, c):
@@ -437,6 +468,39 @@ def check_aggregate_bound(c_alg_total, c_opt_total, capacity, c):
 
 # ---------------------------------------------------------------------------
 # ARC eviction audit
+
+
+def _eviction_findings(entry, n):
+    """check_arc_eviction_audit on one entry, for capacity n."""
+    if not entry.cache_full_before or entry.c_alg == 0:
+        return ()
+    found = []
+    pre = entry.prefixes_start
+    post = entry.prefixes_end
+    out = entry.outcome
+    t1_len, t2_len, b1_len, b2_len = entry.sizes_start
+    if out.history_hit is None:  # a miss outside the directory
+        covered = pre.t1 + pre.t2 + pre.b1 + pre.b2
+        if covered >= n:
+            found.append(("ALG", "directory_miss_prefix_bound", covered, n - 1))
+    if out.replace_dest == "B1" and post.b1 >= 1 and pre.t1 != t1_len:
+        found.append(("ALG", "demotion_prefix_consistency", pre.t1, t1_len))
+    if out.replace_dest == "B2" and post.b2 >= 1 and pre.t2 != t2_len:
+        found.append(("ALG", "demotion_prefix_consistency", pre.t2, t2_len))
+    # directory discards: from B1, from B2, or the raw LRU(T1) drop
+    if out.history_evicted_from == "B1" and pre.l1 >= t1_len + b1_len:
+        found.append(("ALG", "eviction_outside_prefix", pre.l1, t1_len + b1_len - 1))
+    if out.history_evicted_from == "B2" and pre.l2 >= t2_len + b2_len:
+        found.append(("ALG", "eviction_outside_prefix", pre.l2, t2_len + b2_len - 1))
+    if out.evicted_cache_page is not None and out.replace_dest is None:
+        # dropped LRU(T1) with B1 empty: the page leaves the directory
+        if pre.l1 >= t1_len + b1_len:
+            found.append(("ALG", "eviction_outside_prefix", pre.l1, t1_len + b1_len - 1))
+    if out.replace_dest == "B2" and pre.t1 == t1_len and pre.t2 == t2_len:
+        found.append(("ALG", "protected_list_demotion", pre.t2, t2_len - 1))
+    if out.replace_dest == "B1" and pre.t2 == t2_len and pre.t1 == t1_len:
+        found.append(("ALG", "protected_list_demotion", pre.t1, t1_len - 1))
+    return found
 
 
 def check_arc_eviction_audit(log):
@@ -457,96 +521,45 @@ def check_arc_eviction_audit(log):
     """
     if log.policy_kind != "ARC":
         raise ValueError("eviction audit applies to ARC logs, got %r" % (log.policy_kind,))
-    n = log.capacity
-    report = ViolationReport()
-    for entry in log.entries:
-        if not entry.cache_full_before or entry.c_alg == 0:
-            continue
-        pre = entry.prefixes_start
-        post = entry.prefixes_end
-        out = entry.outcome
-        t1_len, t2_len, b1_len, b2_len = entry.sizes_start
-        directory_miss = out.history_hit is None
-        if directory_miss:
-            covered = pre.t1 + pre.t2 + pre.b1 + pre.b2
-            if covered >= n:
-                report.violations.append(
-                    _violation(entry, "ALG", "directory_miss_prefix_bound", covered, n - 1)
-                )
-        if out.replace_dest == "B1" and post.b1 >= 1 and pre.t1 != t1_len:
-            report.violations.append(
-                _violation(entry, "ALG", "demotion_prefix_consistency", pre.t1, t1_len)
-            )
-        if out.replace_dest == "B2" and post.b2 >= 1 and pre.t2 != t2_len:
-            report.violations.append(
-                _violation(entry, "ALG", "demotion_prefix_consistency", pre.t2, t2_len)
-            )
-        # directory discards: from B1, from B2, or the raw LRU(T1) drop
-        if out.history_evicted_from == "B1" and pre.l1 >= t1_len + b1_len:
-            report.violations.append(
-                _violation(entry, "ALG", "eviction_outside_prefix", pre.l1, t1_len + b1_len - 1)
-            )
-        if out.history_evicted_from == "B2" and pre.l2 >= t2_len + b2_len:
-            report.violations.append(
-                _violation(entry, "ALG", "eviction_outside_prefix", pre.l2, t2_len + b2_len - 1)
-            )
-        if out.evicted_cache_page is not None and out.replace_dest is None:
-            # dropped LRU(T1) with B1 empty: the page leaves the directory
-            if pre.l1 >= t1_len + b1_len:
-                report.violations.append(
-                    _violation(entry, "ALG", "eviction_outside_prefix", pre.l1, t1_len + b1_len - 1)
-                )
-        if out.replace_dest == "B2" and pre.t1 == t1_len and pre.t2 == t2_len:
-            report.violations.append(
-                _violation(entry, "ALG", "protected_list_demotion", pre.t2, t2_len - 1)
-            )
-        if out.replace_dest == "B1" and pre.t2 == t2_len and pre.t1 == t1_len:
-            report.violations.append(
-                _violation(entry, "ALG", "protected_list_demotion", pre.t1, t1_len - 1)
-            )
-    return report
+    return _log_report(log, _eviction_findings, log.capacity)
 
 
 # ---------------------------------------------------------------------------
 # ARC / CAR structural invariants
 
 
-def _arc_sizes_violation(check, lhs, rhs, arc):
-    return Violation(
-        index=-1,
-        step="STATE",
-        check=check,
-        lhs=lhs,
-        rhs=rhs,
-        page=None,
-        digest=arc.digest(),
-        opt_cache=(),
-    )
+def _state_violations(policy):
+    """An empty report and a function that adds a STATE violation to it,
+    carrying the policy digest (rendered only when a check fires)."""
+    report = ViolationReport()
+
+    def bad(check, lhs, rhs):
+        report.violations.append(Violation(index=-1, step="STATE", check=check, lhs=lhs,
+                                           rhs=rhs, page=None, digest=policy.digest(),
+                                           opt_cache=()))
+
+    return report, bad
 
 
 def check_arc_structure(arc, was_full=None):
     """Structural audit of an ARC state: disjoint lists, size caps, and
     (given the previous fullness flag) monotone fullness."""
-    report = ViolationReport()
+    report, bad = _state_violations(arc)
+    n = arc.capacity
     t1, t2, b1, b2 = len(arc.t1), len(arc.t2), len(arc.b1), len(arc.b2)
     union = set(arc.t1) | set(arc.t2) | set(arc.b1) | set(arc.b2)
     if len(union) != t1 + t2 + b1 + b2:
-        report.violations.append(
-            _arc_sizes_violation("lists_disjoint", t1 + t2 + b1 + b2, len(union), arc)
-        )
-    n = arc.capacity
+        bad("lists_disjoint", t1 + t2 + b1 + b2, len(union))
     if not 0 <= t1 + t2 <= n:
-        report.violations.append(_arc_sizes_violation("size_bound_cache", t1 + t2, n, arc))
+        bad("size_bound_cache", t1 + t2, n)
     if not 0 <= t1 + b1 <= n:
-        report.violations.append(_arc_sizes_violation("size_bound_l1", t1 + b1, n, arc))
+        bad("size_bound_l1", t1 + b1, n)
     if not 0 <= t1 + t2 + b1 + b2 <= 2 * n:
-        report.violations.append(
-            _arc_sizes_violation("size_bound_directory", t1 + t2 + b1 + b2, 2 * n, arc)
-        )
+        bad("size_bound_directory", t1 + t2 + b1 + b2, 2 * n)
     if not 0 <= arc.p <= n:
-        report.violations.append(_arc_sizes_violation("target_range", arc.p, n, arc))
+        bad("target_range", arc.p, n)
     if was_full and t1 + t2 < n:
-        report.violations.append(_arc_sizes_violation("fullness_monotone", t1 + t2, n, arc))
+        bad("fullness_monotone", t1 + t2, n)
     return report
 
 
@@ -557,24 +570,9 @@ def check_car_invariants(car, was_full=None):
     cache stays full) needs the previous request's fullness, passed as
     was_full. Pass None to skip it.
     """
-    report = ViolationReport()
+    report, bad = _state_violations(car)
     n = car.capacity
     t1, t2, b1, b2 = len(car.t1), len(car.t2), len(car.b1), len(car.b2)
-
-    def bad(check, lhs, rhs):
-        report.violations.append(
-            Violation(
-                index=-1,
-                step="STATE",
-                check=check,
-                lhs=lhs,
-                rhs=rhs,
-                page=None,
-                digest=car.digest(),
-                opt_cache=(),
-            )
-        )
-
     if not 0 <= t1 + t2 <= n:
         bad("size_bound_cache", t1 + t2, n)
     if not 0 <= t1 + b1 <= n:
@@ -596,45 +594,151 @@ def check_car_invariants(car, was_full=None):
 # CAR step report (observational)
 
 
-def check_car_sweep_rank_monotone(log):
-    """On every CAR miss (once full), the sweep-rank sum term should not
-    rise across the policy half-step. Observational: failures are
-    reported, not asserted, by the harness."""
-    if log.policy_kind != "CAR":
-        raise ValueError("sweep-rank check applies to CAR logs, got %r" % (log.policy_kind,))
-    report = ViolationReport()
-    for entry in log.entries:
-        if not entry.cache_full_before or entry.c_alg == 0:
-            continue
-        if entry.car_sum_r_alg > entry.car_sum_r_opt:
-            report.violations.append(
-                _violation(entry, "ALG", "sweep_rank_nonincrease",
-                           entry.car_sum_r_alg, entry.car_sum_r_opt)
-            )
-    return report
+def _opt_fine_findings(entry, cap):
+    """The finer oracle half-step bound on one CAR entry, for cap = 18N+3."""
+    delta = entry.phi_after_opt - entry.phi_before
+    rhs = cap if entry.c_opt else 0
+    return (("OPT", "opt_step_fine_bound", delta, rhs),) if delta > rhs else ()
 
 
-def check_car_opt_step_bound(log):
-    """Observational fine-grained bound on the oracle half-step for CAR:
-    at most 18N + 3 per oracle fault, 0 otherwise."""
-    if log.policy_kind != "CAR":
-        raise ValueError("bound applies to CAR logs, got %r" % (log.policy_kind,))
-    report = ViolationReport()
-    cap = 18 * log.capacity + 3
-    for entry in log.entries:
-        delta = entry.phi_after_opt - entry.phi_before
-        rhs = cap if entry.c_opt else 0
-        if delta > rhs:
-            report.violations.append(
-                _violation(entry, "OPT", "opt_step_fine_bound", delta, rhs)
-            )
-    return report
+def _sweep_rank_findings(entry):
+    """The sweep-rank monotonicity check on one CAR entry."""
+    if entry.cache_full_before and entry.c_alg and entry.car_sum_r_alg > entry.car_sum_r_opt:
+        return (("ALG", "sweep_rank_nonincrease", entry.car_sum_r_alg, entry.car_sum_r_opt),)
+    return ()
 
 
 def car_step_report(log, c=21):
-    """Full observational CAR report: the c*N per-step bound, the finer
-    oracle half-step bound, and the sweep-rank monotonicity check, in one list."""
+    """Full observational CAR report, in one list: the c*N per-step
+    bound; the finer oracle half-step bound, at most 18N + 3 per oracle
+    fault and 0 otherwise; and, on every miss once the cache is full,
+    the sweep-rank sum term not rising across the policy half-step. The
+    harness reports these findings rather than asserting them."""
+    if log.policy_kind != "CAR":
+        raise ValueError("the CAR step report applies to CAR logs, got %r" % (log.policy_kind,))
     report = check_step_inequalities(log, c=c)
-    report.extend(check_car_opt_step_bound(log))
-    report.extend(check_car_sweep_rank_monotone(log))
+    report.extend(_log_report(log, _opt_fine_findings, 18 * log.capacity + 3))
+    report.extend(_log_report(log, _sweep_rank_findings))
     return report
+
+
+# ---------------------------------------------------------------------------
+# the streaming verification pass
+
+ALL_CHECKS = ("invariants", "potential", "lemmas")
+STRUCTURAL_CHECKERS = {"ARC": check_arc_structure, "CAR": check_car_invariants}
+
+
+@dataclass
+class Verification:
+    """What one checked run found. A report is None, and so is
+    aggregate_holds, when its check was not requested or does not apply
+    to the policy; opt_misses is None when no check needed the oracle."""
+
+    policy_kind: str
+    adaptation: str | None
+    miss_flags: bytearray
+    opt_misses: int | None
+    final_potential: int
+    step: ViolationReport | None
+    step_asserted: bool  # False for CAR's report-only step findings
+    eviction_audit: ViolationReport | None
+    aggregate_holds: bool | None
+    state: ViolationReport | None
+
+    @property
+    def hard_failure(self):
+        return bool(
+            (self.step is not None and self.step_asserted and not self.step.ok)
+            or (self.eviction_audit is not None and not self.eviction_audit.ok)
+            or self.aggregate_holds is False
+            or (self.state is not None and not self.state.ok)
+        )
+
+    def violation_counts(self):
+        """Violations per check name; structural ones are summed under
+        state_invariants and a failed aggregate bound counts once."""
+        tally = {}
+        for report in filter(None, (self.step, self.eviction_audit)):
+            for check, count in report.counts().items():
+                tally[check] = tally.get(check, 0) + count
+        if self.aggregate_holds is False:
+            tally["aggregate_bound"] = 1
+        if self.state is not None and not self.state.ok:
+            tally["state_invariants"] = len(self.state.violations)
+        return tally
+
+
+def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_CHECKS,
+               fail_on_car_step=False):
+    """Run the requested checks over a trace in one streaming pass.
+
+    checks is a subset of ALL_CHECKS. potential (the per-step bound, with
+    CAR's finer checks, asserted for CAR only under fail_on_car_step, and
+    the aggregate bound) and lemmas (the ARC eviction audit) replay in
+    lockstep with the oracle; without them no oracle or potential is
+    computed. invariants runs the ARC or CAR structural checker on the
+    live policy after every request. Each per-step check reads one entry
+    at a time and no entry is kept; the policy digest is rendered only
+    after a request on which a check fires, so it shows the state that
+    request left. Pages whose digest would be ambiguous raise ValueError.
+    """
+    check_page_tokens(trace)
+    policy = make_policy(policy_name, capacity, adaptation)
+    kind = policy.kind
+    adaptation = policy.adaptation if kind == "ARC" else None
+    ratio_arc = adaptation not in (None, ADAPT_UNIT)
+    checkable = kind != "LRU" and not ratio_arc
+    # (report, per-entry check, its arguments, findings); a report joins
+    # the findings of its checks in this order, as the log-based checkers do
+    plan = []
+    if "potential" in checks and checkable:
+        bound = DEFAULT_BOUND_MULTIPLIER[kind] * capacity
+        plan.append(("step", _step_findings, (bound, kind in ("ARC", "CAR")), []))
+        if kind == "CAR":
+            plan.append(("step", _opt_fine_findings, (18 * capacity + 3,), []))
+            plan.append(("step", _sweep_rank_findings, (), []))
+    if "lemmas" in checks and kind == "ARC" and checkable:
+        plan.append(("eviction_audit", _eviction_findings, (capacity,), []))
+    structural = STRUCTURAL_CHECKERS.get(kind) if "invariants" in checks else None
+    state = ViolationReport() if structural is not None else None
+    lockstep = "potential" in checks or "lemmas" in checks
+
+    miss_flags = bytearray()
+    opt_misses = 0
+    entry = None
+    was_full = False
+    for entry in (_lockstep_entries if lockstep else _plain_entries)(trace, policy):
+        miss_flags.append(entry.c_alg)
+        if lockstep:
+            opt_misses += entry.c_opt
+        digest = None
+        for _, find, args, found in plan:
+            for step, check, lhs, rhs in find(entry, *args):
+                if digest is None:
+                    digest = policy.digest()
+                found.append(_violation(entry, step, check, lhs, rhs, digest))
+        if structural is not None:
+            for v in structural(policy, was_full).violations:
+                state.violations.append(replace(v, index=entry.index))
+            was_full = was_full or policy.is_full
+
+    reports = {}
+    for name, _, _, found in plan:
+        reports.setdefault(name, ViolationReport()).violations.extend(found)
+    return Verification(
+        policy_kind=kind,
+        adaptation=adaptation,
+        miss_flags=miss_flags,
+        opt_misses=opt_misses if lockstep else None,
+        final_potential=entry.phi_after_alg if lockstep and entry is not None else 0,
+        step=reports.get("step"),
+        step_asserted=kind != "CAR" or fail_on_car_step,
+        eviction_audit=reports.get("eviction_audit"),
+        aggregate_holds=(
+            check_aggregate_bound(sum(miss_flags), opt_misses, capacity,
+                                  DEFAULT_BOUND_MULTIPLIER[kind])
+            if "potential" in checks and not ratio_arc else None
+        ),
+        state=state,
+    )

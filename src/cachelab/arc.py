@@ -130,30 +130,20 @@ class ArcCache(Policy):
             self.t2[page] = True
             return AccessOutcome(was_hit=True)
 
-        old_p = self.p
-        if page in self.b1:
-            self.adapt("B1")
-            moved, dest = self.replace(requested_in_b2=False)
-            del self.b1[page]
+        hit_list = "B1" if page in self.b1 else "B2" if page in self.b2 else None
+        if hit_list is not None:
+            # ghost hit: adapt, free a slot, and admit the page to T2
+            old_p = self.p
+            self.adapt(hit_list)
+            moved, dest = self.replace(requested_in_b2=hit_list == "B2")
+            del (self.b1 if hit_list == "B1" else self.b2)[page]
             self.t2[page] = True
             return AccessOutcome(
                 was_hit=False,
                 evicted_cache_page=moved,
                 replace_dest=dest,
                 adaptation_delta=self.p - old_p,
-                history_hit="B1",
-            )
-        if page in self.b2:
-            self.adapt("B2")
-            moved, dest = self.replace(requested_in_b2=True)
-            del self.b2[page]
-            self.t2[page] = True
-            return AccessOutcome(
-                was_hit=False,
-                evicted_cache_page=moved,
-                replace_dest=dest,
-                adaptation_delta=self.p - old_p,
-                history_hit="B2",
+                history_hit=hit_list,
             )
 
         # full directory miss

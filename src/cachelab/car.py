@@ -10,19 +10,8 @@ cheap as CLOCK's.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 
 from .core import AccessOutcome, Policy, render_pages
-
-
-@dataclass(frozen=True)
-class MarkPartition:
-    """Cached pages split by ring and reference bit."""
-
-    t1_unmarked: frozenset
-    t1_marked: frozenset
-    t2_unmarked: frozenset
-    t2_marked: frozenset
 
 
 class CarCache(Policy):
@@ -66,14 +55,6 @@ class CarCache(Policy):
     @property
     def is_full(self):
         return len(self.t1) + len(self.t2) == self.capacity
-
-    def mark_partition(self):
-        return MarkPartition(
-            t1_unmarked=frozenset(p for p in self.t1 if not self.ref[p]),
-            t1_marked=frozenset(p for p in self.t1 if self.ref[p]),
-            t2_unmarked=frozenset(p for p in self.t2 if not self.ref[p]),
-            t2_marked=frozenset(p for p in self.t2 if self.ref[p]),
-        )
 
     def digest(self):
         def ring(pages):

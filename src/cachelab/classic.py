@@ -73,9 +73,6 @@ class ClockCache(Policy):
         self.marked[page] = False
         return AccessOutcome(was_hit=False, evicted_cache_page=evicted)
 
-    def head_to_tail(self):
-        return list(self.ring)
-
     def cached_pages(self):
         return set(self.marked)
 

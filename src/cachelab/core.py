@@ -1,8 +1,9 @@
 """Shared domain types and the contract every replacement policy implements.
 
-Pages are opaque tokens: any hashable value whose str() form contains no
-whitespace and none of the characters ``*,[]`` that digests use as syntax
-(parse_trace rejects such tokens). Integer block numbers and string keys both work; two requests
+Pages are opaque tokens: any hashable value whose str() form is nonempty
+and contains no whitespace and none of the characters ``*,[]`` that
+digests use as syntax (parse_trace and the verification pass reject such
+tokens). Integer block numbers and string keys both work; two requests
 name the same page exactly when their tokens compare equal.
 
 Unlike a production cache, every policy here exposes its complete internal
@@ -13,6 +14,24 @@ verification layer can audit each request.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+# characters that policy digests use as syntax; a token holding one would
+# render ambiguously (the token "5*" looks like a marked page 5)
+RESERVED_TOKEN_CHARS = "*,[]"
+
+
+def check_page_tokens(pages):
+    """Raise ValueError naming the first page whose str() form is empty or
+    holds whitespace or a reserved character: its digest would be
+    ambiguous. Each distinct page is checked once."""
+    for page in dict.fromkeys(pages):
+        text = str(page)
+        if text.split() != [text] or any(c in text for c in RESERVED_TOKEN_CHARS):
+            raise ValueError(
+                "page %r does not render unambiguously in a digest: its str() form must be "
+                "nonempty and hold no whitespace and none of %s" % (page, RESERVED_TOKEN_CHARS)
+            )
 
 
 def canonical_key(page):

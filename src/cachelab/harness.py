@@ -10,29 +10,18 @@ from fractions import Fraction
 
 from .analysis import (
     ADAPT_UNIT,
+    ALL_CHECKS,
     DEFAULT_BOUND_MULTIPLIER,
-    car_step_report,
-    check_aggregate_bound,
-    check_arc_eviction_audit,
-    check_arc_structure,
-    check_car_invariants,
-    check_step_inequalities,
     make_policy,
     partition_phases,
-    run_lockstep,
+    run_checks,
 )
+from .core import RESERVED_TOKEN_CHARS
 from .opt import belady_run
-
-ALL_CHECKS = ("invariants", "potential", "lemmas")
 
 
 class TraceParseError(ValueError):
     pass
-
-
-# characters that policy digests use as syntax; a token holding one would
-# render ambiguously (the token "5*" looks like a marked page 5)
-RESERVED_TOKEN_CHARS = "*,[]"
 
 
 def parse_trace(data):
@@ -140,12 +129,11 @@ def run_simulation(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
                    checks=(), trace_label=None, fail_on_car_step=False):
     """Run one policy over a trace, optionally with verification checks.
 
-    checks is a subset of {"invariants", "potential", "lemmas"}:
-    invariants audits structural state every request (CAR's seven, ARC's
-    structure); potential replays in lockstep with the oracle and applies
-    the per-step and aggregate bound checks; lemmas adds the ARC eviction
-    audit. CAR per-step findings are observational and only flip the
-    report's hard_failure when fail_on_car_step is set.
+    checks is a subset of {"invariants", "potential", "lemmas"}; any of
+    them runs the trace through analysis.run_checks (see there), and the
+    report counts its violations per check. CAR per-step findings are
+    observational and only flip the report's hard_failure when
+    fail_on_car_step is set.
     """
     if capacity < 1:
         raise ValueError("cache size must be at least 1, got %r" % (capacity,))
@@ -158,71 +146,20 @@ def run_simulation(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
     if name == "opt":
         return _opt_report(trace, capacity, label)
 
-    violations = {}
-    hard = False
-    needs_lockstep = bool(checks & {"potential", "lemmas"})
-    if needs_lockstep:
-        log = run_lockstep(trace, capacity, name, adaptation)
-        misses = log.c_alg_total
-        opt_misses = log.c_opt_total
-        checkable = not (log.policy_kind == "LRU"
-                         or (log.policy_kind == "ARC" and log.adaptation != ADAPT_UNIT))
-        # the aggregate bound needs costs only; it applies to LRU as well,
-        # just not to the ratio-adaptation ARC variant
-        aggregate_applies = not (log.policy_kind == "ARC" and log.adaptation != ADAPT_UNIT)
-        if "potential" in checks and checkable:
-            if log.policy_kind == "CAR":
-                step = car_step_report(log)
-                for check, count in step.counts().items():
-                    violations[check] = violations.get(check, 0) + count
-                if fail_on_car_step and not step.ok:
-                    hard = True
-            else:
-                step = check_step_inequalities(log)
-                for check, count in step.counts().items():
-                    violations[check] = violations.get(check, 0) + count
-                if not step.ok:
-                    hard = True
-        if "lemmas" in checks and log.policy_kind == "ARC" and checkable:
-            audit = check_arc_eviction_audit(log)
-            for check, count in audit.counts().items():
-                violations[check] = violations.get(check, 0) + count
-            if not audit.ok:
-                hard = True
-        if "potential" in checks and aggregate_applies:
-            c = DEFAULT_BOUND_MULTIPLIER[log.policy_kind]
-            if not check_aggregate_bound(misses, opt_misses, capacity, c):
-                violations["aggregate_bound"] = violations.get("aggregate_bound", 0) + 1
-                hard = True
-        miss_flags = log.miss_flags()
+    if checks:
+        run = run_checks(trace, capacity, name, adaptation, checks, fail_on_car_step)
+        miss_flags, opt_misses = run.miss_flags, run.opt_misses
+        violations, hard = run.violation_counts(), run.hard_failure
     else:
         policy = make_policy(name, capacity, adaptation)
         miss_flags = []
         for page in trace:
             miss_flags.append(not policy.request(page).was_hit)
-        misses = sum(miss_flags)
         opt_misses = None
-
-    if "invariants" in checks:
-        policy = make_policy(name, capacity, adaptation)
-        was_full = False
-        bad = 0
-        for page in trace:
-            policy.request(page)
-            if name == "car":
-                state = check_car_invariants(policy, was_full)
-            elif name == "arc":
-                state = check_arc_structure(policy, was_full)
-            else:
-                state = None
-            if state is not None and not state.ok:
-                bad += len(state.violations)
-            was_full = was_full or policy.is_full
-        if bad:
-            violations["state_invariants"] = bad
-            hard = True
+        violations, hard = {}, False
 
     total = len(trace)
+    misses = sum(miss_flags)
     hits = total - misses
     return RunReport(
         policy=name,
@@ -234,103 +171,61 @@ def run_simulation(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
         misses=misses,
         hit_ratio=Fraction(hits, total) if total else None,
         opt_misses=opt_misses,
-        miss_to_opt_ratio=(
-            Fraction(misses, opt_misses) if opt_misses else None
-        ),
+        miss_to_opt_ratio=Fraction(misses, opt_misses) if opt_misses else None,
         complete_phases=len([p for p in partition_phases(miss_flags, capacity) if p.complete]),
         violations=violations,
         hard_failure=hard,
     )
 
 
+def _listing(report):
+    return {"violation_count": len(report.violations), "violations": report.to_dicts()}
+
+
 def verify_trace(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
                  trace_label=None, fail_on_car_step=False):
-    """Full verification of one policy run: lockstep replay, per-step
-    bound checks, structural invariants, the ARC eviction audit, and the
-    aggregate bound, with every violation carrying reproducing state.
+    """Full verification of one policy run: every check of
+    analysis.run_checks (per-step bounds, the ARC eviction audit, the
+    aggregate bound, structural invariants) in one lockstep pass, with
+    every violation carrying reproducing state.
 
     Returns (report_dict, hard_failure). The dict is JSON-ready and
     deterministic for fixed inputs.
     """
     name = policy_name.lower()
     label = trace_label if trace_label is not None else "inline:%d" % len(trace)
-    log = run_lockstep(trace, capacity, name, adaptation)
-    kind = log.policy_kind
-    checkable = not (kind == "LRU" or (kind == "ARC" and log.adaptation != ADAPT_UNIT))
+    run = run_checks(trace, capacity, name, adaptation, fail_on_car_step=fail_on_car_step)
+    misses = sum(run.miss_flags)
+    c = DEFAULT_BOUND_MULTIPLIER[run.policy_kind]
+    checks = {}
+    if run.step is not None:
+        checks["step"] = {"mode": "asserted" if run.step_asserted else "report-only",
+                          "bound_multiplier": c, **_listing(run.step)}
+    if run.eviction_audit is not None:
+        checks["eviction_audit"] = _listing(run.eviction_audit)
+    if run.aggregate_holds is not None:
+        checks["aggregate"] = {
+            "bound_multiplier": c,
+            "lhs": misses,
+            "rhs": c * capacity * run.opt_misses + c * capacity,
+            "additive_constant": c * capacity,
+            "final_potential": run.final_potential,
+            "holds": run.aggregate_holds,
+        }
+    if run.state is not None:
+        checks["state_invariants"] = _listing(run.state)
     result = {
         "policy": name,
-        "adaptation": log.adaptation,
+        "adaptation": run.adaptation,
         "cache_size": capacity,
         "trace": label,
         "requests": len(trace),
-        "policy_misses": log.c_alg_total,
-        "opt_misses": log.c_opt_total,
-        "checks": {},
+        "policy_misses": misses,
+        "opt_misses": run.opt_misses,
+        "checks": checks,
+        "hard_failure": run.hard_failure,
     }
-    hard = False
-
-    if checkable:
-        if kind == "CAR":
-            step = car_step_report(log)
-            mode = "report-only" if not fail_on_car_step else "asserted"
-            if fail_on_car_step and not step.ok:
-                hard = True
-        else:
-            step = check_step_inequalities(log)
-            mode = "asserted"
-            if not step.ok:
-                hard = True
-        result["checks"]["step"] = {
-            "mode": mode,
-            "bound_multiplier": DEFAULT_BOUND_MULTIPLIER[kind],
-            "violation_count": len(step.violations),
-            "violations": step.to_dicts(),
-        }
-        if kind == "ARC":
-            audit = check_arc_eviction_audit(log)
-            result["checks"]["eviction_audit"] = {
-                "violation_count": len(audit.violations),
-                "violations": audit.to_dicts(),
-            }
-            if not audit.ok:
-                hard = True
-
-    if not (kind == "ARC" and log.adaptation != ADAPT_UNIT):
-        c = DEFAULT_BOUND_MULTIPLIER[kind]
-        holds = check_aggregate_bound(log.c_alg_total, log.c_opt_total, capacity, c)
-        result["checks"]["aggregate"] = {
-            "bound_multiplier": c,
-            "lhs": log.c_alg_total,
-            "rhs": c * capacity * log.c_opt_total + c * capacity,
-            "additive_constant": c * capacity,
-            "final_potential": log.entries[-1].phi_after_alg if log.entries else 0,
-            "holds": holds,
-        }
-        if not holds:
-            hard = True
-
-    if name in ("car", "arc"):
-        policy = make_policy(name, capacity, adaptation)
-        was_full = False
-        state_violations = []
-        for i, page in enumerate(trace):
-            policy.request(page)
-            check = check_car_invariants if name == "car" else check_arc_structure
-            found = check(policy, was_full)
-            for v in found.violations:
-                d = v.to_dict()
-                d["index"] = i
-                state_violations.append(d)
-            was_full = was_full or policy.is_full
-        result["checks"]["state_invariants"] = {
-            "violation_count": len(state_violations),
-            "violations": state_violations,
-        }
-        if state_violations:
-            hard = True
-
-    result["hard_failure"] = hard
-    return result, hard
+    return result, run.hard_failure
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,43 @@
+import itertools
 from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachelab import (
     ArcCache,
     CarCache,
     ClockCache,
+    LruCache,
+    RunReport,
     arc_potential,
     car_potential,
     car_step_report,
     check_aggregate_bound,
     check_arc_eviction_audit,
+    check_arc_structure,
     check_car_invariants,
     check_step_inequalities,
     clock_potential,
     gen_fuzz,
     gen_zipf,
+    make_policy,
     mru_prefix_sizes,
+    parse_workload,
     partition_phases,
     run_lockstep,
+    run_simulation,
+    verify_trace,
 )
-from cachelab.analysis import LockstepEntry, LockstepLog, PrefixSizes
+from cachelab import analysis
+from cachelab.analysis import (
+    DEFAULT_BOUND_MULTIPLIER,
+    LockstepEntry,
+    LockstepLog,
+    PotentialBreakdown,
+    PrefixSizes,
+)
 from cachelab.core import AccessOutcome
 
 
@@ -333,3 +350,260 @@ class TestCarStepReport:
         trace = gen_fuzz(16, 600, seed=1007)
         log = run_lockstep(trace, 8, "car")
         assert check_aggregate_bound(log.c_alg_total, log.c_opt_total, 8, 21)
+
+
+# ---------------------------------------------------------------------------
+# the streaming pass against the log-based reference
+#
+# reference_verify and reference_simulation rebuild verify_trace and
+# run_simulation from a full run_lockstep log, the log-based checkers and a
+# second replay for the structural invariants.
+
+POLICIES = (("lru", "unit"), ("clock", "unit"), ("arc", "unit"), ("arc", "ratio"),
+            ("car", "unit"))
+CHECK_SETS = [set(c) for r in range(1, 4)
+              for c in itertools.combinations(("invariants", "potential", "lemmas"), r)]
+
+
+def reference_state_violations(name, capacity, adaptation, trace):
+    if name not in ("arc", "car"):
+        return None
+    policy = make_policy(name, capacity, adaptation)
+    check = check_car_invariants if name == "car" else check_arc_structure
+    found = []
+    was_full = False
+    for i, page in enumerate(trace):
+        policy.request(page)
+        for v in check(policy, was_full).violations:
+            found.append(dict(v.to_dict(), index=i))
+        was_full = was_full or policy.is_full
+    return found
+
+
+def reference_verify(name, capacity, trace, adaptation="unit", fail_on_car_step=False):
+    log = run_lockstep(trace, capacity, name, adaptation)
+    kind = log.policy_kind
+    ratio = kind == "ARC" and log.adaptation != "unit"
+    checks = {}
+    hard = False
+    if kind != "LRU" and not ratio:
+        step = car_step_report(log) if kind == "CAR" else check_step_inequalities(log)
+        asserted = kind != "CAR" or fail_on_car_step
+        hard = asserted and not step.ok
+        checks["step"] = {"mode": "asserted" if asserted else "report-only",
+                          "bound_multiplier": DEFAULT_BOUND_MULTIPLIER[kind],
+                          "violation_count": len(step.violations),
+                          "violations": step.to_dicts()}
+        if kind == "ARC":
+            audit = check_arc_eviction_audit(log)
+            checks["eviction_audit"] = {"violation_count": len(audit.violations),
+                                        "violations": audit.to_dicts()}
+            hard = hard or not audit.ok
+    if not ratio:
+        c = DEFAULT_BOUND_MULTIPLIER[kind]
+        holds = check_aggregate_bound(log.c_alg_total, log.c_opt_total, capacity, c)
+        checks["aggregate"] = {
+            "bound_multiplier": c, "lhs": log.c_alg_total,
+            "rhs": c * capacity * log.c_opt_total + c * capacity,
+            "additive_constant": c * capacity,
+            "final_potential": log.entries[-1].phi_after_alg if log.entries else 0,
+            "holds": holds}
+        hard = hard or not holds
+    state = reference_state_violations(name, capacity, adaptation, trace)
+    if state is not None:
+        checks["state_invariants"] = {"violation_count": len(state), "violations": state}
+        hard = hard or bool(state)
+    result = {"policy": name, "adaptation": log.adaptation, "cache_size": capacity,
+              "trace": "inline:%d" % len(trace), "requests": len(trace),
+              "policy_misses": log.c_alg_total, "opt_misses": log.c_opt_total,
+              "checks": checks, "hard_failure": hard}
+    return result, hard
+
+
+def reference_simulation(name, capacity, trace, adaptation, checks, fail_on_car_step=False):
+    log = run_lockstep(trace, capacity, name, adaptation)
+    kind = log.policy_kind
+    ratio = kind == "ARC" and adaptation != "unit"
+    violations = {}
+    hard = False
+    found = []
+    if "potential" in checks and kind != "LRU" and not ratio:
+        step = car_step_report(log) if kind == "CAR" else check_step_inequalities(log)
+        found.append(step)
+        hard = not step.ok and (kind != "CAR" or fail_on_car_step)
+    if "lemmas" in checks and kind == "ARC" and not ratio:
+        found.append(check_arc_eviction_audit(log))
+        hard = hard or not found[-1].ok
+    for report in found:
+        for check, count in report.counts().items():
+            violations[check] = violations.get(check, 0) + count
+    if "potential" in checks and not ratio and not check_aggregate_bound(
+            log.c_alg_total, log.c_opt_total, capacity, DEFAULT_BOUND_MULTIPLIER[kind]):
+        violations["aggregate_bound"] = 1
+        hard = True
+    state = reference_state_violations(name, capacity, adaptation, trace)
+    if "invariants" in checks and state:
+        violations["state_invariants"] = len(state)
+        hard = True
+    lockstep = bool(checks & {"potential", "lemmas"})
+    misses = log.c_alg_total
+    flags = [bool(e.c_alg) for e in log.entries]
+    return RunReport(
+        policy=name, adaptation=adaptation if name == "arc" else None, cache_size=capacity,
+        trace="inline:%d" % len(trace), requests=len(trace), hits=len(trace) - misses,
+        misses=misses,
+        hit_ratio=Fraction(len(trace) - misses, len(trace)) if trace else None,
+        opt_misses=log.c_opt_total if lockstep else None,
+        miss_to_opt_ratio=(Fraction(misses, log.c_opt_total)
+                           if lockstep and log.c_opt_total else None),
+        complete_phases=len([p for p in partition_phases(flags, capacity) if p.complete]),
+        violations=violations, hard_failure=hard,
+    )
+
+
+def assert_pass_matches_reference(trace, capacity, checks_sets=CHECK_SETS):
+    for (name, adaptation), fail in itertools.product(POLICIES, (False, True)):
+        assert (verify_trace(name, capacity, trace, adaptation, fail_on_car_step=fail)
+                == reference_verify(name, capacity, trace, adaptation, fail))
+        for checks in checks_sets:
+            got = run_simulation(name, capacity, trace, adaptation, checks,
+                                 fail_on_car_step=fail)
+            want = reference_simulation(name, capacity, trace, adaptation, checks, fail)
+            assert got.to_dict() == want.to_dict()
+
+
+class TestStreamingPass:
+    @pytest.mark.parametrize("spec", [
+        "fuzz:universe=7,length=200,seed=11",
+        "zipf:universe=12,alpha=0.8,length=200,seed=12",
+        "scan_mix:hot=3,scan=5,length=200,seed=13",
+    ])
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
+    def test_matches_reference_on_seeded_traces(self, spec, capacity):
+        assert_pass_matches_reference(parse_workload(spec).generate(), capacity)
+
+    def test_matches_reference_with_car_findings(self):
+        trace = parse_workload("fuzz:universe=10,length=2000,seed=5").generate()
+        result, hard = verify_trace("car", 3, trace)
+        assert result["checks"]["step"]["violation_count"] >= 1 and not hard
+        assert (result["checks"]["step"]["violations"][0]["digest"]
+                == "CAR p=0 T1=[1] T2=[9,5] B1=[0,6] B2=[]")
+        assert_pass_matches_reference(trace, 3, checks_sets=[{"potential"}])
+
+    def test_matches_reference_with_state_violations(self, monkeypatch):
+        # a planted defect: ARC pushes its target out of range on page 4
+        request = ArcCache.request
+
+        def broken(self, page):
+            outcome = request(self, page)
+            if page == 4:
+                self.p = self.capacity + 1
+            return outcome
+
+        monkeypatch.setattr(ArcCache, "request", broken)
+        trace = gen_fuzz(6, 200, seed=3)
+        result, hard = verify_trace("arc", 3, trace)
+        state = result["checks"]["state_invariants"]
+        assert hard and state["violation_count"] >= 1
+        assert {v["check"] for v in state["violations"]} == {"target_range"}
+        assert state["violations"][0]["index"] == trace.index(4)
+        assert_pass_matches_reference(trace, 3)
+
+    @pytest.mark.parametrize("name", ["lru", "arc", "car"])
+    def test_invariants_alone_skip_the_oracle_and_potentials(self, monkeypatch, name):
+        def unexpected(*args):
+            raise AssertionError("called without potential or lemmas checks")
+
+        monkeypatch.setattr(analysis, "belady_run", unexpected)
+        monkeypatch.setattr(analysis, "potential_for", unexpected)
+        report = run_simulation(name, 3, gen_fuzz(9, 300, seed=5), checks=("invariants",))
+        assert report.opt_misses is None and report.violations == {}
+
+    def test_matches_reference_with_every_car_finding(self, monkeypatch):
+        # a planted potential that the oracle's cache and B1 inflate fires
+        # all three CAR checks, whose findings come in one block per check
+        original = analysis.car_potential
+
+        def inflated(car, opt_cache):
+            breakdown = original(car, opt_cache)
+            extra = 100 * len(opt_cache) + 50 * len(car.b1)
+            terms = breakdown.terms[:-1] + (("sum_r", breakdown.term("sum_r") + extra),)
+            return PotentialBreakdown(phi=breakdown.phi + extra, terms=terms)
+
+        monkeypatch.setattr(analysis, "car_potential", inflated)
+        trace = gen_fuzz(6, 150, seed=8)
+        result, _ = verify_trace("car", 3, trace)
+        found = [v["check"] for v in result["checks"]["step"]["violations"]]
+        assert {"opt_step_fine_bound", "sweep_rank_nonincrease"} <= set(found)
+        assert found.index("sweep_rank_nonincrease") > max(
+            i for i, check in enumerate(found) if check == "opt_step_fine_bound")
+        assert_pass_matches_reference(trace, 3, checks_sets=[{"potential"}])
+
+    @settings(max_examples=40, deadline=None)
+    @given(trace=st.lists(st.integers(min_value=0, max_value=7), max_size=60),
+           capacity=st.integers(min_value=1, max_value=4),
+           policy=st.sampled_from(POLICIES),
+           checks=st.sampled_from(CHECK_SETS),
+           fail=st.booleans())
+    def test_matches_reference_on_random_traces(self, trace, capacity, policy, checks, fail):
+        name, adaptation = policy
+        assert (verify_trace(name, capacity, trace, adaptation, fail_on_car_step=fail)
+                == reference_verify(name, capacity, trace, adaptation, fail))
+        got = run_simulation(name, capacity, trace, adaptation, checks, fail_on_car_step=fail)
+        want = reference_simulation(name, capacity, trace, adaptation, checks, fail)
+        assert got.to_dict() == want.to_dict()
+
+
+def count_digests(monkeypatch):
+    calls = []
+    for cls in (LruCache, ClockCache, ArcCache, CarCache):
+        def counted(self, digest=cls.digest):
+            calls.append(type(self).__name__)
+            return digest(self)
+        monkeypatch.setattr(cls, "digest", counted)
+    return calls
+
+
+class TestDigestRendering:
+    @pytest.mark.parametrize("name", ["lru", "clock", "arc", "car"])
+    def test_clean_verify_renders_no_digest(self, monkeypatch, name):
+        calls = count_digests(monkeypatch)
+        result, hard = verify_trace(name, 4, gen_zipf(20, 0.8, 600, seed=21))
+        assert not hard
+        assert all(not c.get("violation_count") for c in result["checks"].values())
+        assert calls == []
+
+    def test_digest_rendered_once_per_request_with_findings(self, monkeypatch):
+        trace = parse_workload("fuzz:universe=10,length=2000,seed=5").generate()
+        calls = count_digests(monkeypatch)
+        result, _ = verify_trace("car", 3, trace)
+        indices = {v["index"] for v in result["checks"]["step"]["violations"]}
+        assert len(calls) == len(indices) >= 1
+
+    def test_lockstep_log_keeps_a_digest_per_entry(self):
+        log = run_lockstep(gen_fuzz(6, 50, seed=2), 2, "car")
+        replay = CarCache(2)
+        for entry in log.entries:
+            replay.request(entry.page)
+            assert entry.digest == replay.digest()
+
+
+class TestAmbiguousPages:
+    @pytest.mark.parametrize("page", ["5*", "a,b", "[x", "y]", "two words", "tab\there", ""])
+    def test_checked_runs_reject_pages_with_ambiguous_digests(self, page):
+        trace = [page, "x", page]
+        with pytest.raises(ValueError, match="digest"):
+            verify_trace("clock", 2, trace)
+        with pytest.raises(ValueError, match="digest"):
+            run_simulation("car", 2, trace, checks=("invariants",))
+        with pytest.raises(ValueError, match="digest"):
+            run_lockstep(trace, 2, "arc")
+
+    def test_digest_collision_is_rejected(self):
+        # '5*','x' and '5','5','x' would both render CLOCK RING=[5*,x]
+        with pytest.raises(ValueError, match="'5\\*'"):
+            verify_trace("clock", 2, ["5*", "x"])
+        assert verify_trace("clock", 2, ["5", "5", "x"])[0]["policy_misses"] == 2
+
+    def test_unchecked_runs_accept_any_page(self):
+        assert run_simulation("clock", 2, ["5*", "x", "5*"]).hits == 1

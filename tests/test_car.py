@@ -129,14 +129,6 @@ class TestInvariants:
                     at_discard = [out.evicted_cache_page] + at_discard
                 assert out.evicted_history_page == at_discard[-1]
 
-    def test_mark_partition(self):
-        car = CarCache(3)
-        drive(car, [1, 2, 3, 2])
-        part = car.mark_partition()
-        assert part.t1_marked == {2}
-        assert part.t1_unmarked == {1, 3}
-        assert part.t2_marked == set() and part.t2_unmarked == set()
-
     @settings(max_examples=60, deadline=None)
     @given(trace=st.lists(st.integers(min_value=0, max_value=9), max_size=80),
            capacity=st.integers(min_value=1, max_value=5))

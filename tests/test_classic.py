@@ -53,7 +53,7 @@ class TestClock:
         assert [o.was_hit for o in outcomes] == [False, False, True, False]
         # the final miss unmarks page 1 and evicts page 2 instead
         assert outcomes[3].evicted_cache_page == 2
-        assert clock.head_to_tail() == [1, 3]
+        assert list(clock.ring) == [1, 3]
         assert clock.marked == {1: False, 3: False}
 
     def test_fifo_when_unmarked(self):
@@ -75,7 +75,7 @@ class TestClock:
         for page in [1, 2, 3]:
             clock.request(page)
         clock.request(2)
-        assert clock.head_to_tail() == [1, 2, 3]
+        assert list(clock.ring) == [1, 2, 3]
 
     def test_behaves_as_fifo_without_hits(self):
         # all-distinct trace: eviction order equals insertion order
