@@ -1,6 +1,7 @@
-"""Verification layer: potential functions, lockstep replay against the
-offline optimum, per-step bound/invariant checkers, and run_checks, the
-one streaming pass that drives them all.
+"""Verification layer: potential functions and the trackers that update
+them request by request, lockstep replay against the offline optimum,
+per-step bound/invariant checkers, and run_checks, the one streaming
+pass that drives them all.
 
 Every request is processed in two half-steps: the optimal schedule moves
 first, then the online policy. A potential function maps (policy state,
@@ -225,6 +226,275 @@ def potential_for(policy):
 
 
 # ---------------------------------------------------------------------------
+# incremental potentials
+#
+# The lockstep pass evaluates the potentials above through trackers that
+# follow the two things that move them: the oracle's (admitted, evicted)
+# pair on each of its misses, and the policy's AccessOutcome. A half-step
+# then costs O(pages the request touched) instead of a rescan of the
+# directory. Both half-steps rely on one fact: once the oracle has served
+# a request, the requested page is in its cache, so whatever the policy
+# does to that page leaves the potential alone.
+
+
+class _StampedRing:
+    """Position sums over a list that changes only by popleft and append.
+
+    Appends are numbered 1, 2, ..., so the list always holds consecutive
+    numbers and a page's position (head = 1) is its number minus the
+    count of pops. Over the pages outside the oracle cache it keeps the
+    sum of their numbers, their count and how many are marked, which
+    gives their position sum in O(1).
+    """
+
+    __slots__ = ("stamps", "appended", "popped", "stamp_sum", "outside", "marked")
+
+    def __init__(self):
+        self.stamps = {}
+        self.appended = self.popped = self.stamp_sum = self.outside = self.marked = 0
+
+    def append(self, page, outside):
+        self.appended += 1
+        self.stamps[page] = self.appended
+        if outside:
+            self.stamp_sum += self.appended
+            self.outside += 1
+
+    def popleft(self, page, outside, marked):
+        self.popped += 1
+        stamp = self.stamps.pop(page)
+        if outside:
+            self.stamp_sum -= stamp
+            self.outside -= 1
+            self.marked -= marked
+
+    def cross(self, page, sign, marked):
+        """page joins (sign 1) or leaves (sign -1) the pages outside the
+        oracle cache."""
+        self.stamp_sum += sign * self.stamps[page]
+        self.outside += sign
+        self.marked += sign * marked
+
+    def position_sum(self):
+        return self.stamp_sum - self.outside * self.popped
+
+
+class _GhostList:
+    """Position sum (LRU = 1) over the pages of a history list outside the
+    oracle cache.
+
+    The list, the policy's own OrderedDict, gains pages at its MRU end
+    and loses them at its LRU end and, on a ghost hit, from the middle.
+    Appends are numbered so that the pages newer than a removed one can
+    be found; a rank is counted by walking from the MRU end.
+    """
+
+    __slots__ = ("pages", "stamps", "appended", "position_sum", "outside")
+
+    def __init__(self, pages):
+        self.pages = pages
+        self.stamps = {}
+        self.appended = self.position_sum = self.outside = 0
+
+    def append(self, page, outside):
+        self.appended += 1
+        self.stamps[page] = self.appended
+        if outside:
+            self.position_sum += len(self.stamps)
+            self.outside += 1
+
+    def pop_lru(self, page, outside):
+        del self.stamps[page]
+        if outside:
+            self.position_sum -= 1
+            self.outside -= 1
+        self.position_sum -= self.outside  # every other page moves one closer
+
+    def remove(self, page, opt_cache):
+        """page, which the oracle holds, left from the middle: the pages
+        appended after it move one closer to the LRU end."""
+        stamp = self.stamps.pop(page)
+        for other in reversed(self.pages):
+            if self.stamps[other] < stamp:
+                break
+            if other not in opt_cache:
+                self.position_sum -= 1
+
+    def cross(self, page, sign):
+        """page joins (sign 1) or leaves (sign -1) the pages outside the
+        oracle cache."""
+        newer = 0
+        for other in reversed(self.pages):
+            if other == page:
+                break
+            newer += 1
+        self.position_sum += sign * (len(self.pages) - newer)
+        self.outside += sign
+
+
+class _Tracker:
+    """A potential tracker: opt_step follows an oracle miss, alg_step the
+    policy's request, and value() gives (phi, prefixes, car_sum_r) as
+    the lockstep entry stores them. This base class is LRU's zero
+    potential."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.opt_cache = frozenset()
+
+    def opt_step(self, admitted, evicted, opt_cache):
+        self.opt_cache = opt_cache
+
+    def alg_step(self, page, outcome):
+        pass
+
+    def value(self):
+        return 0, None, None
+
+
+class _ClockTracker(_Tracker):
+    """clock_potential: the ring's position sum plus capacity per marked
+    page, over pages outside the oracle cache."""
+
+    def __init__(self, clock):
+        super().__init__(clock)
+        self.ring = _StampedRing()
+
+    def opt_step(self, admitted, evicted, opt_cache):
+        self.opt_cache = opt_cache
+        ring, marked = self.ring, self.policy.marked
+        if admitted in ring.stamps:
+            ring.cross(admitted, -1, marked[admitted])
+        if evicted in ring.stamps:
+            ring.cross(evicted, 1, marked[evicted])
+
+    def alg_step(self, page, outcome):
+        if outcome.was_hit:
+            return
+        ring, opt_cache = self.ring, self.opt_cache
+        for swept in outcome.swept:
+            outside = swept not in opt_cache
+            ring.popleft(swept, outside, 1)
+            ring.append(swept, outside)
+        victim = outcome.evicted_cache_page
+        if victim is not None:
+            ring.popleft(victim, victim not in opt_cache, 0)
+        ring.append(page, False)
+
+    def value(self):
+        ring = self.ring
+        return ring.position_sum() + self.policy.capacity * ring.marked, None, None
+
+
+class _ArcTracker(_Tracker):
+    """arc_potential, walking each MRU prefix from its MRU end only as far
+    as the first page outside the oracle cache."""
+
+    def value(self):
+        arc, opt_cache = self.policy, self.opt_cache
+        t1_len, t2_len = len(arc.t1), len(arc.t2)
+        l1 = _mru_prefix(arc.t1, arc.b1, opt_cache)
+        l2 = _mru_prefix(arc.t2, arc.b2, opt_cache)
+        t1p, t2p = min(l1, t1_len), min(l2, t2_len)
+        t = t1_len + t2_len
+        phi = arc.p - ((l1 - t1p - t) + 2 * (t1p - t) + 3 * (l2 - t2p - t) + 4 * (t2p - t))
+        return phi, PrefixSizes(t1p, t2p, l1 - t1p, l2 - t2p, l1, l2), None
+
+
+def _mru_prefix(cached, ghosts, opt_cache):
+    n = 0
+    for pages in (cached, ghosts):
+        for page in reversed(pages):
+            if page not in opt_cache:
+                return n
+            n += 1
+    return n
+
+
+class _CarTracker(_Tracker):
+    """car_potential from a stamped ring for each of T1 and T2 and a
+    position sum for each of B1 and B2."""
+
+    def __init__(self, car):
+        super().__init__(car)
+        self.t1 = _StampedRing()
+        self.t2 = _StampedRing()
+        self.b1 = _GhostList(car.b1)
+        self.b2 = _GhostList(car.b2)
+
+    def _cross(self, page, sign):
+        car = self.policy
+        if page in car.ref:
+            ring = self.t1 if page in self.t1.stamps else self.t2
+            ring.cross(page, sign, car.ref[page])
+        elif page in car.b1:
+            self.b1.cross(page, sign)
+        elif page in car.b2:
+            self.b2.cross(page, sign)
+
+    def opt_step(self, admitted, evicted, opt_cache):
+        self.opt_cache = opt_cache
+        self._cross(admitted, -1)
+        if evicted is not None:
+            self._cross(evicted, 1)
+
+    def alg_step(self, page, outcome):
+        # replays the request's list moves in the order CarCache made them
+        if outcome.was_hit:
+            return
+        t1, t2, opt_cache = self.t1, self.t2, self.opt_cache
+        for swept in outcome.swept:
+            outside = swept not in opt_cache
+            (t1 if swept in t1.stamps else t2).popleft(swept, outside, 1)
+            t2.append(swept, outside)
+        victim = outcome.evicted_cache_page
+        if victim is not None:
+            outside = victim not in opt_cache
+            if outcome.replace_dest == "B1":
+                t1.popleft(victim, outside, 0)
+                self.b1.append(victim, outside)
+            else:
+                t2.popleft(victim, outside, 0)
+                self.b2.append(victim, outside)
+        dropped = outcome.evicted_history_page
+        if outcome.history_evicted_from == "B1":
+            self.b1.pop_lru(dropped, dropped not in opt_cache)
+        elif outcome.history_evicted_from == "B2":
+            self.b2.pop_lru(dropped, dropped not in opt_cache)
+        if outcome.history_hit == "B1":
+            self.b1.remove(page, opt_cache)
+        elif outcome.history_hit == "B2":
+            self.b2.remove(page, opt_cache)
+        (t1 if outcome.history_hit is None else t2).append(page, False)
+
+    def value(self):
+        car = self.policy
+        t1, t2 = self.t1, self.t2
+        b1_len, b2_len = len(car.b1), len(car.b2)
+        sum_r = (2 * t1.position_sum() + t1.outside * b1_len
+                 + 2 * t2.position_sum() + t2.outside * b2_len
+                 + 3 * car.capacity * (t1.marked + t2.marked)
+                 + self.b1.position_sum + self.b2.position_sum)
+        shared = len(car.ref) - t1.outside - t2.outside
+        phi = car.p + 2 * (b1_len + len(car.t1)) - 3 * shared + 3 * sum_r
+        return phi, None, 3 * sum_r
+
+
+def potential_tracker(policy):
+    """A fresh tracker for potential_for(policy), for a policy that has
+    served no request yet."""
+    if isinstance(policy, ArcCache):
+        return _ArcTracker(policy)
+    if isinstance(policy, ClockCache):
+        return _ClockTracker(policy)
+    if isinstance(policy, CarCache):
+        return _CarTracker(policy)
+    if isinstance(policy, LruCache):
+        return _Tracker(policy)
+    raise TypeError("no potential defined for %r" % (type(policy).__name__,))
+
+
+# ---------------------------------------------------------------------------
 # lockstep replay
 
 
@@ -285,39 +555,33 @@ def _lockstep_entries(trace, policy):
     it, so the live policy is in the state the entry describes. An entry
     records the costs, the potential before the request / after the
     oracle half-step / after the policy half-step, and the per-step audit
-    data the checkers need; its digest is left None.
+    data the checkers need; its digest is left None. The potentials come
+    from potential_tracker and equal those of potential_for.
     """
-    potential = potential_for(policy)
+    tracker = potential_tracker(policy)
     is_arc = isinstance(policy, ArcCache)
-    is_car = isinstance(policy, CarCache)
-    phi_before = potential(policy, frozenset()).phi
+    after_alg = tracker.value()
     for i, (page, step) in enumerate(zip(trace, belady_run(trace, policy.capacity).steps)):
         full_before = policy.is_full
-        after_opt = potential(policy, step.cache_after)
+        if step.was_hit:
+            after_opt = after_alg  # neither the policy nor the oracle cache moved
+        else:
+            tracker.opt_step(page, step.evicted, step.cache_after)
+            after_opt = tracker.value()
         sizes_start = None
         if is_arc:
             sizes_start = (len(policy.t1), len(policy.t2), len(policy.b1), len(policy.b2))
         outcome = policy.request(page)
-        after_alg = potential(policy, step.cache_after)
+        tracker.alg_step(page, outcome)
+        phi_before = after_alg[0]
+        after_alg = tracker.value()
+        # positional, in field order: sixteen keywords cost about a
+        # microsecond more per request
         yield LockstepEntry(
-            index=i,
-            page=page,
-            c_opt=0 if step.was_hit else 1,
-            c_alg=0 if outcome.was_hit else 1,
-            phi_before=phi_before,
-            phi_after_opt=after_opt.phi,
-            phi_after_alg=after_alg.phi,
-            digest=None,
-            opt_cache=step.cache_after,
-            cache_full_before=full_before,
-            outcome=outcome,
-            prefixes_start=after_opt.prefixes,
-            prefixes_end=after_alg.prefixes,
-            sizes_start=sizes_start,
-            car_sum_r_opt=after_opt.term("sum_r") if is_car else None,
-            car_sum_r_alg=after_alg.term("sum_r") if is_car else None,
+            i, page, 0 if step.was_hit else 1, 0 if outcome.was_hit else 1,
+            phi_before, after_opt[0], after_alg[0], None, step.cache_after, full_before,
+            outcome, after_opt[1], after_alg[1], sizes_start, after_opt[2], after_alg[2],
         )
-        phi_before = after_alg.phi
 
 
 def _plain_entries(trace, policy):

@@ -34,6 +34,7 @@ class CarCache(Policy):
         self.b1 = OrderedDict()
         self.b2 = OrderedDict()
         self.last_replace_iterations = 0
+        self.last_swept = ()
 
     # -- state views -------------------------------------------------
 
@@ -90,11 +91,13 @@ class CarCache(Policy):
         candidate: demoted to MRU(B2) if unmarked, else recycled
         bit-cleared to T2's own tail. Each pass either demotes a page or
         clears a set bit / shrinks T1, so the loop terminates within
-        2*(|T1|+|T2|) iterations.
+        2*(|T1|+|T2|) iterations. The recycled pages are kept, in sweep
+        order, in last_swept.
         """
         if len(self.t1) + len(self.t2) != self.capacity:
             raise RuntimeError("REPLACE requires a full cache (|T1|+|T2| = capacity)")
         self.last_replace_iterations = 0
+        self.last_swept = ()
         while True:
             self.last_replace_iterations += 1
             if len(self.t1) >= max(1, self.p):
@@ -103,16 +106,15 @@ class CarCache(Policy):
                     del self.ref[head]
                     self.b1[head] = True
                     return head, "B1"
-                self.ref[head] = 0
-                self.t2.append(head)
             else:
                 head = self.t2.popleft()
                 if not self.ref[head]:
                     del self.ref[head]
                     self.b2[head] = True
                     return head, "B2"
-                self.ref[head] = 0
-                self.t2.append(head)
+            self.ref[head] = 0
+            self.t2.append(head)
+            self.last_swept += (head,)
 
     def request(self, page):
         if page in self.ref:
@@ -124,8 +126,10 @@ class CarCache(Policy):
         in_b2 = page in self.b2
         moved = dest = None
         hist_evicted = hist_from = None
+        swept = ()
         if len(self.t1) + len(self.t2) == self.capacity:
             moved, dest = self.replace()
+            swept = self.last_swept
             if not (in_b1 or in_b2):
                 if len(self.t1) + len(self.b1) == self.capacity:
                     hist_evicted, _ = self.b1.popitem(last=False)
@@ -158,4 +162,5 @@ class CarCache(Policy):
             history_evicted_from=hist_from,
             adaptation_delta=self.p - old_p,
             history_hit=history_hit,
+            swept=swept,
         )

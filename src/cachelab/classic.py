@@ -63,15 +63,18 @@ class ClockCache(Policy):
             self.marked[page] = True
             return AccessOutcome(was_hit=True)
         evicted = None
+        swept = ()
         if len(self.ring) == self.capacity:
             while self.marked[self.ring[0]]:
-                self.marked[self.ring[0]] = False
-                self.ring.rotate(-1)
+                head = self.ring.popleft()
+                self.marked[head] = False
+                self.ring.append(head)
+                swept += (head,)
             evicted = self.ring.popleft()
             del self.marked[evicted]
         self.ring.append(page)
         self.marked[page] = False
-        return AccessOutcome(was_hit=False, evicted_cache_page=evicted)
+        return AccessOutcome(was_hit=False, evicted_cache_page=evicted, swept=swept)
 
     def cached_pages(self):
         return set(self.marked)

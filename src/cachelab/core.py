@@ -3,7 +3,8 @@
 Pages are opaque tokens: any hashable value whose str() form is nonempty
 and contains no whitespace and none of the characters ``*,[]`` that
 digests use as syntax (parse_trace and the verification pass reject such
-tokens). Integer block numbers and string keys both work; two requests
+tokens); a verified run also needs distinct pages to have distinct str()
+forms. Integer block numbers and string keys both work; two requests
 name the same page exactly when their tokens compare equal.
 
 Unlike a production cache, every policy here exposes its complete internal
@@ -23,8 +24,10 @@ RESERVED_TOKEN_CHARS = "*,[]"
 
 def check_page_tokens(pages):
     """Raise ValueError naming the first page whose str() form is empty or
-    holds whitespace or a reserved character: its digest would be
+    holds whitespace or a reserved character, or the first two distinct
+    pages with the same str() form (1 and "1"): their digests would be
     ambiguous. Each distinct page is checked once."""
+    seen = {}
     for page in dict.fromkeys(pages):
         text = str(page)
         if text.split() != [text] or any(c in text for c in RESERVED_TOKEN_CHARS):
@@ -32,6 +35,12 @@ def check_page_tokens(pages):
                 "page %r does not render unambiguously in a digest: its str() form must be "
                 "nonempty and hold no whitespace and none of %s" % (page, RESERVED_TOKEN_CHARS)
             )
+        if text in seen:
+            raise ValueError(
+                "pages %r and %r do not render unambiguously in a digest: both have the "
+                "str() form %r" % (seen[text], page, text)
+            )
+        seen[text] = page
 
 
 def canonical_key(page):
@@ -55,7 +64,9 @@ class AccessOutcome:
     the history list named by history_evicted_from. history_hit names
     the history list the requested page itself was found in, for
     policies that keep one. adaptation_delta is the change to the
-    adaptive target (0 for non-adaptive policies).
+    adaptive target (0 for non-adaptive policies). swept lists, in sweep
+    order, the pages a clock sweep gave a second chance: each had its
+    mark cleared and moved from the head of its ring to a tail.
     """
 
     was_hit: bool
@@ -65,6 +76,7 @@ class AccessOutcome:
     replace_dest: str | None = None
     history_evicted_from: str | None = None
     history_hit: str | None = None
+    swept: tuple = ()
 
 
 class Policy:

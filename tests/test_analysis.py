@@ -12,6 +12,7 @@ from cachelab import (
     LruCache,
     RunReport,
     arc_potential,
+    belady_run,
     car_potential,
     car_step_report,
     check_aggregate_bound,
@@ -35,7 +36,6 @@ from cachelab.analysis import (
     DEFAULT_BOUND_MULTIPLIER,
     LockstepEntry,
     LockstepLog,
-    PotentialBreakdown,
     PrefixSizes,
 )
 from cachelab.core import AccessOutcome
@@ -353,14 +353,172 @@ class TestCarStepReport:
 
 
 # ---------------------------------------------------------------------------
+# the potential trackers against the from-scratch potentials
+
+POLICIES = (("lru", "unit"), ("clock", "unit"), ("arc", "unit"), ("arc", "ratio"),
+            ("car", "unit"))
+CORPUS = [
+    "fuzz:universe=7,length=300,seed=31",
+    "fuzz:universe=16,length=300,seed=32",
+    "zipf:universe=12,alpha=0.8,length=300,seed=33",
+    "zipf:universe=40,alpha=1.1,length=300,seed=34",
+    "scan_mix:hot=3,scan=6,length=300,seed=35",
+    "scan_mix:hot=6,scan=12,length=300,seed=36",
+]
+
+
+def reference_value(policy, opt_cache):
+    """(phi, prefixes, car_sum_r) from the from-scratch potential."""
+    breakdown = analysis.potential_for(policy)(policy, opt_cache)
+    sum_r = breakdown.term("sum_r") if isinstance(policy, CarCache) else None
+    return breakdown.phi, breakdown.prefixes, sum_r
+
+
+def tracked_replay(trace, capacity, name, adaptation="unit"):
+    """Serve a trace in lockstep with the oracle, asserting after both
+    half-steps of every request that the tracker agrees with the
+    from-scratch potential; yields (page, outcome, oracle cache, the live
+    policy) after each request."""
+    policy = make_policy(name, capacity, adaptation)
+    tracker = analysis.potential_tracker(policy)
+    assert tracker.value() == reference_value(policy, frozenset())
+    for i, (page, step) in enumerate(zip(trace, belady_run(trace, capacity).steps)):
+        before = policy.digest()
+        if not step.was_hit:
+            tracker.opt_step(page, step.evicted, step.cache_after)
+        assert tracker.value() == reference_value(policy, step.cache_after), (i, "OPT", before)
+        outcome = policy.request(page)
+        tracker.alg_step(page, outcome)
+        assert tracker.value() == reference_value(policy, step.cache_after), (i, "ALG", before)
+        yield page, outcome, step.cache_after, policy
+
+
+def reference_lockstep(trace, capacity, name, adaptation="unit"):
+    """run_lockstep's entries as the from-scratch potentials give them."""
+    policy = make_policy(name, capacity, adaptation)
+    potential = analysis.potential_for(policy)
+    entries = []
+    phi_before = potential(policy, frozenset()).phi
+    for i, (page, step) in enumerate(zip(trace, belady_run(trace, capacity).steps)):
+        full_before = policy.is_full
+        after_opt = potential(policy, step.cache_after)
+        sizes_start = None
+        if name == "arc":
+            sizes_start = (len(policy.t1), len(policy.t2), len(policy.b1), len(policy.b2))
+        outcome = policy.request(page)
+        after_alg = potential(policy, step.cache_after)
+        car = name == "car"
+        entries.append(LockstepEntry(
+            index=i, page=page, c_opt=0 if step.was_hit else 1,
+            c_alg=0 if outcome.was_hit else 1, phi_before=phi_before,
+            phi_after_opt=after_opt.phi, phi_after_alg=after_alg.phi, digest=policy.digest(),
+            opt_cache=step.cache_after, cache_full_before=full_before, outcome=outcome,
+            prefixes_start=after_opt.prefixes, prefixes_end=after_alg.prefixes,
+            sizes_start=sizes_start,
+            car_sum_r_opt=after_opt.term("sum_r") if car else None,
+            car_sum_r_alg=after_alg.term("sum_r") if car else None,
+        ))
+        phi_before = after_alg.phi
+    return entries
+
+
+def replay(trace, capacity, name, adaptation="unit"):
+    return list(tracked_replay(trace, capacity, name, adaptation))
+
+
+class TestPotentialTrackers:
+    @pytest.mark.parametrize("spec", CORPUS)
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 8])
+    def test_agrees_with_reference_potentials_on_seeded_traces(self, spec, capacity):
+        trace = parse_workload(spec).generate()
+        for name, adaptation in POLICIES:
+            replay(trace, capacity, name, adaptation)
+            assert (run_lockstep(trace, capacity, name, adaptation).entries
+                    == reference_lockstep(trace, capacity, name, adaptation))
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace=st.lists(st.integers(min_value=0, max_value=9), max_size=80),
+           capacity=st.integers(min_value=1, max_value=5),
+           policy=st.sampled_from(POLICIES))
+    def test_agrees_with_reference_potentials_on_random_traces(self, trace, capacity, policy):
+        name, adaptation = policy
+        replay(trace, capacity, name, adaptation)
+        assert (run_lockstep(trace, capacity, name, adaptation).entries
+                == reference_lockstep(trace, capacity, name, adaptation))
+
+    @pytest.mark.parametrize("name", ["clock", "arc", "car"])
+    def test_capacity_one(self, name):
+        trace = gen_fuzz(4, 200, seed=51)
+        steps = replay(trace, 1, name)
+        assert sum(not outcome.was_hit for _, outcome, _, _ in steps) > 100
+
+    def test_clock_sweep_over_a_fully_marked_ring(self):
+        # every page is marked when d arrives: the hand clears all three
+        # marks and evicts the original head a after one full rotation
+        trace = ["a", "b", "c", "a", "b", "c", "d", "b", "e", "a", "c", "d"]
+        steps = replay(trace, 3, "clock")
+        _, outcome, opt_cache, _ = steps[6]
+        assert outcome.swept == ("a", "b", "c") and outcome.evicted_cache_page == "a"
+        assert set(outcome.swept) - opt_cache  # a swept page outside the oracle cache
+
+    def test_car_recycles_a_marked_t1_head_into_t2(self):
+        trace = [1, 2, 1, 3, 4, 3, 1, 5, 2, 6, 1]
+        recycled = 0
+        for i, (_, outcome, _, car) in enumerate(tracked_replay(trace, 2, "car")):
+            if i == 3:
+                assert outcome.swept == (1,) and outcome.replace_dest == "B1"
+                assert car.t1_list() == [3] and car.t2_list() == [1]
+            recycled += len(outcome.swept)
+        assert recycled >= 2
+
+    def test_car_ghost_hits_in_the_middle_of_b1_and_b2(self):
+        # a ghost hit below the MRU end of its list, with a newer ghost of
+        # that list outside the oracle cache, shifts that ghost's position
+        found = {"B1": 0, "B2": 0}
+        for seed in range(6):
+            ghosts = {"B1": [], "B2": []}
+            trace = gen_fuzz(10, 300, seed=60 + seed)
+            for page, outcome, opt_cache, car in tracked_replay(trace, 4, "car"):
+                hit = outcome.history_hit
+                if hit is not None:
+                    pages = ghosts[hit]
+                    newer = pages[pages.index(page) + 1:]
+                    if any(other not in opt_cache for other in newer):
+                        found[hit] += 1
+                ghosts = {"B1": list(car.b1), "B2": list(car.b2)}
+        assert found["B1"] and found["B2"]
+
+    def test_arc_ratio_adaptation_through_run_lockstep(self):
+        trace = gen_zipf(30, 0.6, 800, seed=71)
+        log = run_lockstep(trace, 6, "arc", adaptation="ratio")
+        assert any(abs(e.outcome.adaptation_delta) > 1 for e in log.entries)
+        assert log.entries == reference_lockstep(trace, 6, "arc", adaptation="ratio")
+
+
+class TestCheckedPathUsesTrackers:
+    @pytest.mark.parametrize("name", ["clock", "arc", "car"])
+    def test_checked_runs_never_call_the_reference_potentials(self, monkeypatch, name):
+        def unexpected(*args):
+            raise AssertionError("a from-scratch potential was called")
+
+        for reference in ("clock_potential", "car_potential", "arc_potential",
+                        "mru_prefix_sizes", "car_sweep_ranks", "potential_for"):
+            monkeypatch.setattr(analysis, reference, unexpected)
+        trace = gen_zipf(20, 0.8, 600, seed=21)
+        result, _ = verify_trace(name, 4, trace)
+        assert result["opt_misses"] > 0
+        report = run_simulation(name, 4, trace, checks=("invariants", "potential", "lemmas"))
+        assert report.opt_misses == result["opt_misses"]
+        assert len(run_lockstep(trace, 4, name).entries) == len(trace)
+
+
+# ---------------------------------------------------------------------------
 # the streaming pass against the log-based reference
 #
 # reference_verify and reference_simulation rebuild verify_trace and
 # run_simulation from a full run_lockstep log, the log-based checkers and a
 # second replay for the structural invariants.
 
-POLICIES = (("lru", "unit"), ("clock", "unit"), ("arc", "unit"), ("arc", "ratio"),
-            ("car", "unit"))
 CHECK_SETS = [set(c) for r in range(1, 4)
               for c in itertools.combinations(("invariants", "potential", "lemmas"), r)]
 
@@ -516,21 +674,21 @@ class TestStreamingPass:
 
         monkeypatch.setattr(analysis, "belady_run", unexpected)
         monkeypatch.setattr(analysis, "potential_for", unexpected)
+        monkeypatch.setattr(analysis, "potential_tracker", unexpected)
         report = run_simulation(name, 3, gen_fuzz(9, 300, seed=5), checks=("invariants",))
         assert report.opt_misses is None and report.violations == {}
 
     def test_matches_reference_with_every_car_finding(self, monkeypatch):
         # a planted potential that the oracle's cache and B1 inflate fires
         # all three CAR checks, whose findings come in one block per check
-        original = analysis.car_potential
+        original = analysis._CarTracker.value
 
-        def inflated(car, opt_cache):
-            breakdown = original(car, opt_cache)
-            extra = 100 * len(opt_cache) + 50 * len(car.b1)
-            terms = breakdown.terms[:-1] + (("sum_r", breakdown.term("sum_r") + extra),)
-            return PotentialBreakdown(phi=breakdown.phi + extra, terms=terms)
+        def inflated(tracker):
+            phi, prefixes, sum_r = original(tracker)
+            extra = 100 * len(tracker.opt_cache) + 50 * len(tracker.policy.b1)
+            return phi + extra, prefixes, sum_r + extra
 
-        monkeypatch.setattr(analysis, "car_potential", inflated)
+        monkeypatch.setattr(analysis._CarTracker, "value", inflated)
         trace = gen_fuzz(6, 150, seed=8)
         result, _ = verify_trace("car", 3, trace)
         found = [v["check"] for v in result["checks"]["step"]["violations"]]
@@ -607,3 +765,14 @@ class TestAmbiguousPages:
 
     def test_unchecked_runs_accept_any_page(self):
         assert run_simulation("clock", 2, ["5*", "x", "5*"]).hits == 1
+        assert run_simulation("clock", 2, [1, "1", 1]).hits == 1
+
+    def test_pages_with_equal_str_forms_are_rejected(self):
+        # 1,'1' and '1',1 would both render CLOCK RING=[1,1]
+        with pytest.raises(ValueError, match="pages 1 and '1' .*digest"):
+            verify_trace("clock", 2, [1, "1", 1])
+        with pytest.raises(ValueError, match="pages '1' and 1 .*digest"):
+            run_simulation("car", 2, ["1", 1], checks=("invariants",))
+        with pytest.raises(ValueError, match="pages 1 and '1'"):
+            run_lockstep([1, 2, "1"], 2, "arc")
+        assert verify_trace("clock", 2, [1, 1.0, True])[0]["policy_misses"] == 1

@@ -82,6 +82,19 @@ class TestReplace:
         with pytest.raises(RuntimeError):
             car.replace()
 
+    def test_iterations_count_the_swept_pages(self):
+        car = CarCache(4)
+        swept = 0
+        for page in gen_fuzz(12, 800, seed=78):
+            out = car.request(page)
+            if out.replace_dest is not None:
+                assert car.last_replace_iterations == len(out.swept) + 1
+                assert car.last_swept == out.swept
+                swept += len(out.swept)
+            else:
+                assert out.swept == ()
+        assert swept > 0
+
     def test_termination_bound(self):
         car = CarCache(4)
         for page in gen_fuzz(12, 800, seed=77):

@@ -56,6 +56,22 @@ class TestClock:
         assert list(clock.ring) == [1, 3]
         assert clock.marked == {1: False, 3: False}
 
+    def test_sweep_reports_the_pages_given_a_second_chance(self):
+        clock = ClockCache(3)
+        outcomes = [clock.request(p) for p in ["a", "b", "c", "b", "d", "a"]]
+        assert [o.swept for o in outcomes[:5]] == [()] * 5
+        assert outcomes[4].evicted_cache_page == "a"
+        assert outcomes[5].swept == ("b",)
+        assert outcomes[5].evicted_cache_page == "c"
+
+    def test_sweep_over_a_fully_marked_ring_evicts_the_original_head(self):
+        clock = ClockCache(3)
+        outcomes = [clock.request(p) for p in ["a", "b", "c", "a", "b", "c", "d"]]
+        assert outcomes[-1].swept == ("a", "b", "c")
+        assert outcomes[-1].evicted_cache_page == "a"
+        assert list(clock.ring) == ["b", "c", "d"]
+        assert not any(clock.marked.values())
+
     def test_fifo_when_unmarked(self):
         clock = ClockCache(2)
         outs = [clock.request(p) for p in [1, 2, 3]]

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachelab.cli import main
 
@@ -145,3 +149,106 @@ def test_negative_length_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "length must be non-negative" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: random argv from a small grammar, random trace bytes on stdin
+
+def run_cli_isolated(argv, stdin_bytes):
+    """main(argv) with stdin, stdout and stderr swapped out, returning
+    (exit code, stdout, stderr); argparse's SystemExit becomes its code."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = type("S", (), {"buffer": io.BytesIO(stdin_bytes)})()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def mostly(valid, invalid):
+    """Draw mostly from valid, sometimes from invalid."""
+    return st.integers(min_value=0, max_value=7).flatmap(lambda i: invalid if i == 7 else valid)
+
+
+JUNK = st.sampled_from(["-3", "-1", "0", "1.5", "x", "", "nan", "inf"])
+# zipf precomputes a table over its universe and every generator builds
+# its whole trace, so only the fields that size neither may be huge
+SMALL = mostly(st.integers(min_value=1, max_value=8).map(str), JUNK)
+SIZES = mostly(SMALL, st.just("99999999999999999999"))
+LENGTHS = mostly(st.integers(min_value=0, max_value=500).map(str), JUNK)
+WORKLOAD_FIELDS = {
+    "cycle": {"k": SIZES, "length": LENGTHS},
+    "fuzz": {"universe": SIZES, "length": LENGTHS, "seed": SIZES},
+    "zipf": {"universe": SMALL, "alpha": mostly(st.sampled_from(["0", "0.5", "0.9", "1.2"]), JUNK),
+             "length": LENGTHS, "seed": SIZES},
+    "scan_mix": {"hot": SIZES, "scan": SIZES, "length": LENGTHS, "seed": SIZES},
+}
+
+
+@st.composite
+def workload_specs(draw):
+    kind = draw(mostly(st.sampled_from(sorted(WORKLOAD_FIELDS)), st.sampled_from(["bogus", ""])))
+    fields = WORKLOAD_FIELDS.get(kind, WORKLOAD_FIELDS["zipf"])
+    keys = [key for key in fields if draw(mostly(st.just(True), st.just(False)))]
+    keys += draw(st.lists(st.sampled_from(["bogus", "length", ""]), max_size=1))
+    parts = ["%s=%s" % (key, draw(fields.get(key, LENGTHS))) for key in keys]
+    return kind + draw(mostly(st.just(":"), st.sampled_from(["", "::", ";"]))) + ",".join(parts)
+
+
+def optional(draw, option, values):
+    return [option, draw(values)] if draw(st.booleans()) else []
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(mostly(st.sampled_from(["simulate", "compare", "verify", "gen-trace"]),
+                          st.sampled_from(["bogus", "--help-me"])))
+    argv = [command]
+    if command in ("simulate", "verify") and draw(mostly(st.just(True), st.just(False))):
+        argv += ["--policy", draw(mostly(st.sampled_from(["lru", "clock", "arc", "car", "opt"]),
+                                         st.just("x")))]
+    if command != "gen-trace" and draw(mostly(st.just(True), st.just(False))):
+        argv += ["--cache-size", draw(SIZES)]
+    if command in ("simulate", "verify"):
+        argv += optional(draw, "--adaptation", mostly(st.sampled_from(["unit", "ratio"]),
+                                                      st.just("x")))
+        if draw(st.booleans()):
+            argv.append("--fail-on-car-step")
+    if command in ("simulate", "compare"):
+        argv += optional(draw, "--format", mostly(st.sampled_from(["json", "csv", "table"]),
+                                                  st.just("x")))
+    if command == "simulate":
+        checks = st.lists(mostly(st.sampled_from(["invariants", "potential", "lemmas"]),
+                                 st.just("x")), max_size=3)
+        argv += optional(draw, "--checks", checks.map(",".join))
+    source = draw(mostly(st.sampled_from(["trace", "workload"]), st.sampled_from(["both", "none"])))
+    if source in ("trace", "both") and command != "gen-trace":
+        argv += ["--trace", "-"]
+    if source in ("workload", "both") or command == "gen-trace":
+        argv += ["--workload", draw(workload_specs())]
+    argv += optional(draw, "--seed", SIZES)
+    if command == "gen-trace":
+        argv += optional(draw, "--out", st.just("-"))
+    return argv
+
+
+TRACE_BYTES = st.one_of(
+    st.binary(max_size=100),
+    st.lists(st.sampled_from([b"1", b"2", b"3", b"a", b"5*", b"x,y", b"[", b"#c", b" ", b"\n",
+                              b"\t", b"\xff", b"\xc3\xa9", b"# note, with [marks]*\n"]),
+             max_size=80).map(b"".join),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argv(), stdin_bytes=TRACE_BYTES)
+def test_random_invocations_exit_cleanly(argv, stdin_bytes):
+    code, _, err = run_cli_isolated(argv, stdin_bytes)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
