@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .car import CarCache
 from .classic import ClockCache, LruCache
-from .core import AccessOutcome, Policy, canonical_key, state_digest
+from .core import AccessOutcome, Policy, canonical_key
 from .harness import (
     RunReport,
     TraceParseError,

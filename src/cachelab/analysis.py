@@ -22,13 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .arc import ADAPT_UNIT, ArcCache
+from .arc import ADAPT_RATIO, ADAPT_UNIT, ArcCache
 from .car import CarCache
 from .classic import ClockCache, LruCache
 from .core import canonical_key, check_page_tokens
 from .opt import belady_run
-
-DEFAULT_BOUND_MULTIPLIER = {"LRU": 1, "CLOCK": 2, "ARC": 4, "CAR": 21}
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +205,10 @@ def car_potential(car, opt_cache):
     return PotentialBreakdown(phi=sum(v for _, v in terms), terms=terms)
 
 
-def zero_potential(policy, opt_cache):
-    """Placeholder for policies without a defined potential (LRU); keeps
-    lockstep logs uniform for cost accounting."""
-    return PotentialBreakdown(phi=0, terms=(("zero", 0),))
-
-
 def potential_for(policy):
-    if isinstance(policy, ArcCache):
-        return arc_potential
-    if isinstance(policy, ClockCache):
-        return clock_potential
-    if isinstance(policy, CarCache):
-        return car_potential
-    if isinstance(policy, LruCache):
-        return zero_potential
-    raise TypeError("no potential defined for %r" % (type(policy).__name__,))
+    """The from-scratch potential of a policy's row, None for a policy
+    whose potential is 0 (LRU)."""
+    return _spec_for(policy.kind, policy.adaptation).potential
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +320,9 @@ class _GhostList:
 
 class _Tracker:
     """A potential tracker: opt_step follows an oracle miss, alg_step the
-    policy's request, and value() gives (phi, prefixes, car_sum_r) as
-    the lockstep entry stores them. This base class is LRU's zero
-    potential."""
+    policy's request, and value() gives (phi, prefixes, sizes,
+    car_sum_r) as the lockstep entry stores them. This base class is
+    LRU's zero potential."""
 
     def __init__(self, policy):
         self.policy = policy
@@ -349,7 +335,7 @@ class _Tracker:
         pass
 
     def value(self):
-        return 0, None, None
+        return 0, None, None, None
 
 
 class _ClockTracker(_Tracker):
@@ -383,12 +369,13 @@ class _ClockTracker(_Tracker):
 
     def value(self):
         ring = self.ring
-        return ring.position_sum() + self.policy.capacity * ring.marked, None, None
+        return ring.position_sum() + self.policy.capacity * ring.marked, None, None, None
 
 
 class _ArcTracker(_Tracker):
     """arc_potential, walking each MRU prefix from its MRU end only as far
-    as the first page outside the oracle cache."""
+    as the first page outside the oracle cache. value() also gives the
+    list sizes (|T1|, |T2|, |B1|, |B2|) the eviction audit reads."""
 
     def value(self):
         arc, opt_cache = self.policy, self.opt_cache
@@ -398,7 +385,8 @@ class _ArcTracker(_Tracker):
         t1p, t2p = min(l1, t1_len), min(l2, t2_len)
         t = t1_len + t2_len
         phi = arc.p - ((l1 - t1p - t) + 2 * (t1p - t) + 3 * (l2 - t2p - t) + 4 * (t2p - t))
-        return phi, PrefixSizes(t1p, t2p, l1 - t1p, l2 - t2p, l1, l2), None
+        sizes = (t1_len, t2_len, len(arc.b1), len(arc.b2))
+        return phi, PrefixSizes(t1p, t2p, l1 - t1p, l2 - t2p, l1, l2), sizes, None
 
 
 def _mru_prefix(cached, ghosts, opt_cache):
@@ -477,21 +465,13 @@ class _CarTracker(_Tracker):
                  + self.b1.position_sum + self.b2.position_sum)
         shared = len(car.ref) - t1.outside - t2.outside
         phi = car.p + 2 * (b1_len + len(car.t1)) - 3 * shared + 3 * sum_r
-        return phi, None, 3 * sum_r
+        return phi, None, None, 3 * sum_r
 
 
 def potential_tracker(policy):
     """A fresh tracker for potential_for(policy), for a policy that has
     served no request yet."""
-    if isinstance(policy, ArcCache):
-        return _ArcTracker(policy)
-    if isinstance(policy, ClockCache):
-        return _ClockTracker(policy)
-    if isinstance(policy, CarCache):
-        return _CarTracker(policy)
-    if isinstance(policy, LruCache):
-        return _Tracker(policy)
-    raise TypeError("no potential defined for %r" % (type(policy).__name__,))
+    return _spec_for(policy.kind, policy.adaptation).tracker(policy)
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +516,7 @@ class LockstepLog:
 
 def make_policy(name, capacity, adaptation=ADAPT_UNIT):
     """Factory for the CLI / harness policy names."""
-    name = name.lower()
-    if name == "lru":
-        return LruCache(capacity)
-    if name == "clock":
-        return ClockCache(capacity)
-    if name == "arc":
-        return ArcCache(capacity, adaptation=adaptation)
-    if name == "car":
-        return CarCache(capacity)
-    raise ValueError("unknown policy %r (expected lru, clock, arc or car)" % (name,))
+    return _spec_named(name, adaptation).make(capacity)
 
 
 def _lockstep_entries(trace, policy):
@@ -559,7 +530,6 @@ def _lockstep_entries(trace, policy):
     from potential_tracker and equal those of potential_for.
     """
     tracker = potential_tracker(policy)
-    is_arc = isinstance(policy, ArcCache)
     after_alg = tracker.value()
     for i, (page, step) in enumerate(zip(trace, belady_run(trace, policy.capacity).steps)):
         full_before = policy.is_full
@@ -568,19 +538,17 @@ def _lockstep_entries(trace, policy):
         else:
             tracker.opt_step(page, step.evicted, step.cache_after)
             after_opt = tracker.value()
-        sizes_start = None
-        if is_arc:
-            sizes_start = (len(policy.t1), len(policy.t2), len(policy.b1), len(policy.b2))
         outcome = policy.request(page)
         tracker.alg_step(page, outcome)
         phi_before = after_alg[0]
         after_alg = tracker.value()
         # positional, in field order: sixteen keywords cost about a
-        # microsecond more per request
+        # microsecond more per request. after_opt's sizes are those before
+        # the policy step: the oracle half-step leaves the policy alone.
         yield LockstepEntry(
             i, page, 0 if step.was_hit else 1, 0 if outcome.was_hit else 1,
             phi_before, after_opt[0], after_alg[0], None, step.cache_after, full_before,
-            outcome, after_opt[1], after_alg[1], sizes_start, after_opt[2], after_alg[2],
+            outcome, after_opt[1], after_alg[1], after_opt[2], after_opt[3], after_alg[3],
         )
 
 
@@ -603,11 +571,7 @@ def run_lockstep(trace, capacity, policy_name, adaptation=ADAPT_UNIT):
     log the log-based checkers below read."""
     check_page_tokens(trace)
     policy = make_policy(policy_name, capacity, adaptation)
-    log = LockstepLog(
-        policy_kind=policy.kind,
-        adaptation=policy.adaptation if isinstance(policy, ArcCache) else None,
-        capacity=capacity,
-    )
+    log = LockstepLog(policy_kind=policy.kind, adaptation=policy.adaptation, capacity=capacity)
     for entry in _lockstep_entries(trace, policy):
         entry.digest = policy.digest()
         log.entries.append(entry)
@@ -677,12 +641,12 @@ def _violation(entry, step, check, lhs, rhs, digest):
     )
 
 
-def _log_report(log, find, *args):
-    """Run a per-entry check, find(entry, *args) -> (step, check, lhs,
-    rhs) findings, over every entry of a log."""
+def _log_report(log, find):
+    """Run a per-entry check over every entry of a log (see PolicySpec)."""
+    spec = _spec_for(log.policy_kind, log.adaptation)
     report = ViolationReport()
     for entry in log.entries:
-        for step, check, lhs, rhs in find(entry, *args):
+        for step, check, lhs, rhs in find(entry, spec, log.capacity):
             report.violations.append(_violation(entry, step, check, lhs, rhs, entry.digest))
     return report
 
@@ -691,12 +655,12 @@ def _log_report(log, find, *args):
 # step and aggregate bound checks
 
 
-def _step_findings(entry, bound, gate_on_full):
-    """check_step_inequalities on one entry, for bound = c*N."""
-    if gate_on_full and not entry.cache_full_before:
+def _step_findings(entry, spec, n):
+    """check_step_inequalities on one entry, for c = spec.bound."""
+    if spec.step_gated and not entry.cache_full_before:
         return ()
     found = []
-    rhs = bound * entry.c_opt
+    rhs = spec.bound * n * entry.c_opt
     lhs = entry.c_alg + (entry.phi_after_alg - entry.phi_before)
     if lhs > rhs:
         found.append(("ALG", "request_bound", lhs, rhs))
@@ -706,23 +670,21 @@ def _step_findings(entry, bound, gate_on_full):
     return found
 
 
-def check_step_inequalities(log, c=None):
+def check_step_inequalities(log):
     """Per-request bound check over a lockstep log.
 
     For each audited request: c_alg + (phi after the policy step - phi
     before the request) <= c*N*c_opt, and separately the oracle half-step
-    may raise the potential by at most c*N*c_opt. ARC and CAR requests
-    are audited only once the policy's cache has filled (their accounting
-    presumes a full cache); CLOCK is audited from the first request.
+    may raise the potential by at most c*N*c_opt. Where the policy's row
+    is step_gated (ARC, CAR), requests are audited only once the cache
+    has filled (their accounting presumes a full cache); CLOCK is audited
+    from the first request. Policies whose row runs no step checks (LRU,
+    ratio ARC) raise ValueError.
     """
-    if log.policy_kind == "LRU":
-        raise ValueError("no per-step potential bound is defined for LRU")
-    if log.policy_kind == "ARC" and log.adaptation != ADAPT_UNIT:
-        raise ValueError("per-step checks cover only the unit-step ARC adaptation")
-    if c is None:
-        c = DEFAULT_BOUND_MULTIPLIER[log.policy_kind]
-    gate_on_full = log.policy_kind in ("ARC", "CAR")
-    return _log_report(log, _step_findings, c * log.capacity, gate_on_full)
+    if not _spec_for(log.policy_kind, log.adaptation).step_checks:
+        raise ValueError("no per-step potential bound is defined for %s with adaptation %r"
+                         % (log.policy_kind, log.adaptation))
+    return _log_report(log, _step_findings)
 
 
 def check_aggregate_bound(c_alg_total, c_opt_total, capacity, c):
@@ -734,7 +696,7 @@ def check_aggregate_bound(c_alg_total, c_opt_total, capacity, c):
 # ARC eviction audit
 
 
-def _eviction_findings(entry, n):
+def _eviction_findings(entry, spec, n):
     """check_arc_eviction_audit on one entry, for capacity n."""
     if not entry.cache_full_before or entry.c_alg == 0:
         return ()
@@ -785,7 +747,7 @@ def check_arc_eviction_audit(log):
     """
     if log.policy_kind != "ARC":
         raise ValueError("eviction audit applies to ARC logs, got %r" % (log.policy_kind,))
-    return _log_report(log, _eviction_findings, log.capacity)
+    return _log_report(log, _eviction_findings)
 
 
 # ---------------------------------------------------------------------------
@@ -858,49 +820,124 @@ def check_car_invariants(car, was_full=None):
 # CAR step report (observational)
 
 
-def _opt_fine_findings(entry, cap):
-    """The finer oracle half-step bound on one CAR entry, for cap = 18N+3."""
+def _opt_fine_findings(entry, spec, n):
+    """The finer oracle half-step bound on one CAR entry: 18N+3."""
     delta = entry.phi_after_opt - entry.phi_before
-    rhs = cap if entry.c_opt else 0
+    rhs = 18 * n + 3 if entry.c_opt else 0
     return (("OPT", "opt_step_fine_bound", delta, rhs),) if delta > rhs else ()
 
 
-def _sweep_rank_findings(entry):
+def _sweep_rank_findings(entry, spec, n):
     """The sweep-rank monotonicity check on one CAR entry."""
     if entry.cache_full_before and entry.c_alg and entry.car_sum_r_alg > entry.car_sum_r_opt:
         return (("ALG", "sweep_rank_nonincrease", entry.car_sum_r_alg, entry.car_sum_r_opt),)
     return ()
 
 
-def car_step_report(log, c=21):
-    """Full observational CAR report, in one list: the c*N per-step
-    bound; the finer oracle half-step bound, at most 18N + 3 per oracle
-    fault and 0 otherwise; and, on every miss once the cache is full,
-    the sweep-rank sum term not rising across the policy half-step. The
-    harness reports these findings rather than asserting them."""
+def car_step_report(log):
+    """Full observational CAR report, in one list: CAR's step_checks, i.e.
+    the 21N per-step bound; the finer oracle half-step bound, at most
+    18N + 3 per oracle fault and 0 otherwise; and, on every miss once the
+    cache is full, the sweep-rank sum term not rising across the policy
+    half-step. The harness reports these findings rather than asserting
+    them."""
     if log.policy_kind != "CAR":
         raise ValueError("the CAR step report applies to CAR logs, got %r" % (log.policy_kind,))
-    report = check_step_inequalities(log, c=c)
-    report.extend(_log_report(log, _opt_fine_findings, 18 * log.capacity + 3))
-    report.extend(_log_report(log, _sweep_rank_findings))
+    report = ViolationReport()
+    for find in _spec_for(log.policy_kind, log.adaptation).step_checks:
+        report.extend(_log_report(log, find))
     return report
+
+
+# ---------------------------------------------------------------------------
+# the policy table
+
+
+@dataclass(frozen=True)
+class PolicySpec:
+    """One policy variant and every fact its checks need.
+
+    name and adaptation select the row; a row whose adaptation is None
+    serves every requested adaptation. bound is the c of the whole-run
+    bound c*N*OPT + c*N and of the per-step bound, None where neither is
+    checked. potential is the from-scratch potential, None where phi is
+    0, and tracker the class that follows the same value request by
+    request. structural is the checker run on the live policy after each
+    request. step_checks run under the potential check and lemma_checks
+    under lemmas, in this order; each is find(entry, spec, capacity) ->
+    (step, check, lhs, rhs) findings. step_gated audits a request's step
+    bound only once the cache has filled; step_asserted makes step
+    findings hard failures rather than reports.
+    """
+
+    name: str
+    adaptation: str | None
+    cls: type
+    bound: int | None
+    potential: object
+    tracker: type
+    structural: object
+    step_checks: tuple
+    lemma_checks: tuple
+    step_gated: bool
+    step_asserted: bool
+
+    def make(self, capacity):
+        if self.adaptation is None:
+            return self.cls(capacity)
+        return self.cls(capacity, adaptation=self.adaptation)
+
+
+# Adding a policy: its class (core.Policy) and one row here; the CLI,
+# compare and every check read this table.
+POLICY_TABLE = (
+    PolicySpec("lru", None, LruCache, 1, None, _Tracker, None, (), (), False, True),
+    PolicySpec("clock", None, ClockCache, 2, clock_potential, _ClockTracker, None,
+               (_step_findings,), (), False, True),
+    PolicySpec("arc", ADAPT_UNIT, ArcCache, 4, arc_potential, _ArcTracker, check_arc_structure,
+               (_step_findings,), (_eviction_findings,), True, True),
+    PolicySpec("arc", ADAPT_RATIO, ArcCache, None, arc_potential, _ArcTracker,
+               check_arc_structure, (), (), True, True),
+    PolicySpec("car", None, CarCache, 21, car_potential, _CarTracker, check_car_invariants,
+               (_step_findings, _opt_fine_findings, _sweep_rank_findings), (), True, False),
+)
+
+
+def _spec_named(name, adaptation):
+    """The row of a CLI policy name (any case) and adaptation."""
+    name = name.lower()
+    names = list(dict.fromkeys(spec.name for spec in POLICY_TABLE))
+    if name not in names:
+        raise ValueError("unknown policy %r (expected %s or %s)"
+                         % (name, ", ".join(names[:-1]), names[-1]))
+    for spec in POLICY_TABLE:
+        if spec.name == name and spec.adaptation in (None, adaptation):
+            return spec
+    raise ValueError("unknown adaptation %r" % (adaptation,))
+
+
+def _spec_for(kind, adaptation):
+    """The row of a policy class's kind and an instance's adaptation."""
+    for spec in POLICY_TABLE:
+        if spec.cls.kind == kind and spec.adaptation == adaptation:
+            return spec
+    raise ValueError("no policy row for kind %r with adaptation %r" % (kind, adaptation))
 
 
 # ---------------------------------------------------------------------------
 # the streaming verification pass
 
 ALL_CHECKS = ("invariants", "potential", "lemmas")
-STRUCTURAL_CHECKERS = {"ARC": check_arc_structure, "CAR": check_car_invariants}
 
 
 @dataclass
 class Verification:
-    """What one checked run found. A report is None, and so is
-    aggregate_holds, when its check was not requested or does not apply
-    to the policy; opt_misses is None when no check needed the oracle."""
+    """What one checked run found, for the policy row spec. A report is
+    None, and so is aggregate_holds, when its check was not requested or
+    does not apply to the policy; opt_misses is None when no check needed
+    the oracle."""
 
-    policy_kind: str
-    adaptation: str | None
+    spec: PolicySpec
     miss_flags: bytearray
     opt_misses: int | None
     final_potential: int
@@ -937,34 +974,28 @@ def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_C
                fail_on_car_step=False):
     """Run the requested checks over a trace in one streaming pass.
 
-    checks is a subset of ALL_CHECKS. potential (the per-step bound, with
-    CAR's finer checks, asserted for CAR only under fail_on_car_step, and
-    the aggregate bound) and lemmas (the ARC eviction audit) replay in
-    lockstep with the oracle; without them no oracle or potential is
-    computed. invariants runs the ARC or CAR structural checker on the
-    live policy after every request. Each per-step check reads one entry
+    checks is a subset of ALL_CHECKS, and the policy's POLICY_TABLE row
+    says what each runs. potential (the row's step_checks, asserted for
+    CAR only under fail_on_car_step, and the aggregate bound) and lemmas
+    (its lemma_checks: the ARC eviction audit) replay in lockstep with
+    the oracle; without them no oracle or potential is computed.
+    invariants runs the row's structural checker (ARC, CAR) on the live
+    policy after every request. Each per-step check reads one entry
     at a time and no entry is kept; the policy digest is rendered only
     after a request on which a check fires, so it shows the state that
     request left. Pages whose digest would be ambiguous raise ValueError.
     """
     check_page_tokens(trace)
-    policy = make_policy(policy_name, capacity, adaptation)
-    kind = policy.kind
-    adaptation = policy.adaptation if kind == "ARC" else None
-    ratio_arc = adaptation not in (None, ADAPT_UNIT)
-    checkable = kind != "LRU" and not ratio_arc
-    # (report, per-entry check, its arguments, findings); a report joins
-    # the findings of its checks in this order, as the log-based checkers do
+    spec = _spec_named(policy_name, adaptation)
+    policy = spec.make(capacity)
+    # (report, per-entry check, findings); a report joins the findings of
+    # its checks in this order, as the log-based checkers do
     plan = []
-    if "potential" in checks and checkable:
-        bound = DEFAULT_BOUND_MULTIPLIER[kind] * capacity
-        plan.append(("step", _step_findings, (bound, kind in ("ARC", "CAR")), []))
-        if kind == "CAR":
-            plan.append(("step", _opt_fine_findings, (18 * capacity + 3,), []))
-            plan.append(("step", _sweep_rank_findings, (), []))
-    if "lemmas" in checks and kind == "ARC" and checkable:
-        plan.append(("eviction_audit", _eviction_findings, (capacity,), []))
-    structural = STRUCTURAL_CHECKERS.get(kind) if "invariants" in checks else None
+    if "potential" in checks:
+        plan += [("step", find, []) for find in spec.step_checks]
+    if "lemmas" in checks:
+        plan += [("eviction_audit", find, []) for find in spec.lemma_checks]
+    structural = spec.structural if "invariants" in checks else None
     state = ViolationReport() if structural is not None else None
     lockstep = "potential" in checks or "lemmas" in checks
 
@@ -977,8 +1008,8 @@ def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_C
         if lockstep:
             opt_misses += entry.c_opt
         digest = None
-        for _, find, args, found in plan:
-            for step, check, lhs, rhs in find(entry, *args):
+        for _, find, found in plan:
+            for step, check, lhs, rhs in find(entry, spec, capacity):
                 if digest is None:
                     digest = policy.digest()
                 found.append(_violation(entry, step, check, lhs, rhs, digest))
@@ -988,21 +1019,19 @@ def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_C
             was_full = was_full or policy.is_full
 
     reports = {}
-    for name, _, _, found in plan:
+    for name, _, found in plan:
         reports.setdefault(name, ViolationReport()).violations.extend(found)
     return Verification(
-        policy_kind=kind,
-        adaptation=adaptation,
+        spec=spec,
         miss_flags=miss_flags,
         opt_misses=opt_misses if lockstep else None,
         final_potential=entry.phi_after_alg if lockstep and entry is not None else 0,
         step=reports.get("step"),
-        step_asserted=kind != "CAR" or fail_on_car_step,
+        step_asserted=spec.step_asserted or fail_on_car_step,
         eviction_audit=reports.get("eviction_audit"),
         aggregate_holds=(
-            check_aggregate_bound(sum(miss_flags), opt_misses, capacity,
-                                  DEFAULT_BOUND_MULTIPLIER[kind])
-            if "potential" in checks and not ratio_arc else None
+            check_aggregate_bound(sum(miss_flags), opt_misses, capacity, spec.bound)
+            if "potential" in checks and spec.bound is not None else None
         ),
         state=state,
     )

@@ -60,9 +60,6 @@ class ArcCache(Policy):
     def b2_list(self):
         return list(reversed(self.b2))
 
-    def cached_pages(self):
-        return set(self.t1) | set(self.t2)
-
     @property
     def is_full(self):
         return len(self.t1) + len(self.t2) == self.capacity

@@ -50,9 +50,6 @@ class CarCache(Policy):
     def b2_list(self):
         return list(reversed(self.b2))
 
-    def cached_pages(self):
-        return set(self.ref)
-
     @property
     def is_full(self):
         return len(self.t1) + len(self.t2) == self.capacity

@@ -30,9 +30,6 @@ class LruCache(Policy):
     def mru_to_lru(self):
         return list(reversed(self.queue))
 
-    def cached_pages(self):
-        return set(self.queue)
-
     @property
     def is_full(self):
         return len(self.queue) == self.capacity
@@ -75,9 +72,6 @@ class ClockCache(Policy):
         self.ring.append(page)
         self.marked[page] = False
         return AccessOutcome(was_hit=False, evicted_cache_page=evicted, swept=swept)
-
-    def cached_pages(self):
-        return set(self.marked)
 
     @property
     def is_full(self):

@@ -15,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
+from . import analysis
 from .analysis import ADAPT_UNIT
 from .harness import (
     TraceParseError,
@@ -27,7 +28,6 @@ from .harness import (
 from .workloads import parse_workload
 
 FORMAT_ENV_VAR = "CACHELAB_FORMAT"
-POLICIES = ("lru", "clock", "arc", "car", "opt")
 
 
 def _default_format():
@@ -55,6 +55,10 @@ def _load_trace(args):
 
 
 def build_parser():
+    # choices follow analysis.POLICY_TABLE, in row order
+    table = analysis.POLICY_TABLE
+    policies = tuple(dict.fromkeys(spec.name for spec in table))
+    adaptations = tuple(dict.fromkeys(spec.adaptation for spec in table if spec.adaptation))
     parser = argparse.ArgumentParser(
         prog="cachelab",
         description="Trace-driven cache replacement laboratory with an "
@@ -63,8 +67,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     simulate = sub.add_parser("simulate", help="run one policy over a trace")
-    simulate.add_argument("--policy", required=True, choices=POLICIES)
-    simulate.add_argument("--adaptation", choices=("unit", "ratio"), default=ADAPT_UNIT,
+    simulate.add_argument("--policy", required=True, choices=policies + ("opt",))
+    simulate.add_argument("--adaptation", choices=adaptations, default=ADAPT_UNIT,
                           help="arc target adaptation rule (default unit)")
     simulate.add_argument("--cache-size", type=int, required=True, metavar="N")
     simulate.add_argument("--checks", default="",
@@ -80,8 +84,8 @@ def build_parser():
     _add_trace_args(compare)
 
     verify = sub.add_parser("verify", help="lockstep replay with all checkers; emits JSON")
-    verify.add_argument("--policy", required=True, choices=("lru", "clock", "arc", "car"))
-    verify.add_argument("--adaptation", choices=("unit", "ratio"), default=ADAPT_UNIT)
+    verify.add_argument("--policy", required=True, choices=policies)
+    verify.add_argument("--adaptation", choices=adaptations, default=ADAPT_UNIT)
     verify.add_argument("--cache-size", type=int, required=True, metavar="N")
     verify.add_argument("--fail-on-car-step", action="store_true")
     _add_trace_args(verify)
@@ -124,17 +128,14 @@ def main(argv=None):
         if args.command == "compare":
             reports = []
             failed = False
-            for policy, adaptation in (
-                ("lru", None), ("clock", None), ("arc", "unit"),
-                ("arc", "ratio"), ("car", None), ("opt", None),
-            ):
+            runs = [(spec.name, spec.adaptation) for spec in analysis.POLICY_TABLE]
+            for policy, adaptation in runs + [("opt", None)]:
                 report = run_simulation(
-                    policy, args.cache_size, trace,
-                    adaptation=adaptation or ADAPT_UNIT, trace_label=label,
+                    policy, args.cache_size, trace, adaptation=adaptation, trace_label=label,
                 )
                 reports.append(report)
                 failed = failed or report.hard_failure
-            opt_misses = next(r.misses for r in reports if r.policy == "opt")
+            opt_misses = reports[-1].misses  # the opt run comes last
             for report in reports:
                 if report.opt_misses is None:
                     report.opt_misses = opt_misses

@@ -87,6 +87,7 @@ class Policy:
     """
 
     kind = "?"
+    adaptation = None  # the adaptive target's update rule, for policies that have one
 
     def __init__(self, capacity):
         if not isinstance(capacity, int) or capacity < 1:
@@ -94,10 +95,6 @@ class Policy:
         self.capacity = capacity
 
     def request(self, page) -> AccessOutcome:
-        raise NotImplementedError
-
-    def cached_pages(self):
-        """Set of pages currently occupying a cache slot."""
         raise NotImplementedError
 
     @property
@@ -112,8 +109,3 @@ class Policy:
         The format is stable and used by golden-file tests.
         """
         raise NotImplementedError
-
-
-def state_digest(policy):
-    """Digest line for any policy; see Policy.digest."""
-    return policy.digest()

@@ -11,7 +11,6 @@ from fractions import Fraction
 from .analysis import (
     ADAPT_UNIT,
     ALL_CHECKS,
-    DEFAULT_BOUND_MULTIPLIER,
     make_policy,
     partition_phases,
     run_checks,
@@ -148,14 +147,14 @@ def run_simulation(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
 
     if checks:
         run = run_checks(trace, capacity, name, adaptation, checks, fail_on_car_step)
-        miss_flags, opt_misses = run.miss_flags, run.opt_misses
+        miss_flags, opt_misses, adaptation = run.miss_flags, run.opt_misses, run.spec.adaptation
         violations, hard = run.violation_counts(), run.hard_failure
     else:
         policy = make_policy(name, capacity, adaptation)
         miss_flags = []
         for page in trace:
             miss_flags.append(not policy.request(page).was_hit)
-        opt_misses = None
+        opt_misses, adaptation = None, policy.adaptation
         violations, hard = {}, False
 
     total = len(trace)
@@ -163,7 +162,7 @@ def run_simulation(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
     hits = total - misses
     return RunReport(
         policy=name,
-        adaptation=adaptation if name == "arc" else None,
+        adaptation=adaptation,
         cache_size=capacity,
         trace=label,
         requests=total,
@@ -196,7 +195,7 @@ def verify_trace(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
     label = trace_label if trace_label is not None else "inline:%d" % len(trace)
     run = run_checks(trace, capacity, name, adaptation, fail_on_car_step=fail_on_car_step)
     misses = sum(run.miss_flags)
-    c = DEFAULT_BOUND_MULTIPLIER[run.policy_kind]
+    c = run.spec.bound
     checks = {}
     if run.step is not None:
         checks["step"] = {"mode": "asserted" if run.step_asserted else "report-only",
@@ -216,7 +215,7 @@ def verify_trace(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
         checks["state_invariants"] = _listing(run.state)
     result = {
         "policy": name,
-        "adaptation": run.adaptation,
+        "adaptation": run.spec.adaptation,
         "cache_size": capacity,
         "trace": label,
         "requests": len(trace),

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 from .core import canonical_key
 
@@ -46,47 +44,28 @@ class OptSchedule:
 
     @property
     def steps(self):
-        return OptSteps(self)
+        """A fresh iterator over the OptStep records, one per request.
 
-
-class OptSteps(Sequence):
-    """Read-only sequence of the OptStep records of a schedule.
-
-    Records are rebuilt by replaying the schedule forward from the first
-    request. Demand paging changes the cache only on a miss, so one
-    frozenset is built per miss and shared by the hits that follow it.
-    Iterate for sequential access: steps[i] replays requests 0..i.
-    """
-
-    def __init__(self, schedule):
-        self._schedule = schedule
-
-    def __len__(self):
-        return len(self._schedule.hits)
-
-    def __iter__(self):
-        schedule = self._schedule
+        Records are rebuilt by replaying the schedule forward from the
+        first request. Demand paging changes the cache only on a miss, so
+        one frozenset is built per miss and shared by the hits that
+        follow it.
+        """
         cache = set()
         hit_step = OptStep(True, None, frozenset())
         misses = 0
-        for hit in schedule.hits:
+        for hit in self.hits:
             if hit:
                 yield hit_step
                 continue
-            evicted = schedule.evicted[misses]
-            if len(cache) == schedule.capacity:
+            evicted = self.evicted[misses]
+            if len(cache) == self.capacity:
                 cache.remove(evicted)
-            cache.add(schedule.admitted[misses])
+            cache.add(self.admitted[misses])
             misses += 1
             snapshot = frozenset(cache)
             hit_step = OptStep(True, None, snapshot)
             yield OptStep(False, evicted, snapshot)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        position = range(len(self))[index]  # normalises negatives, raises IndexError
-        return next(islice(self, position, None))
 
 
 def annotate_next_use(trace):

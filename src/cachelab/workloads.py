@@ -14,6 +14,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 _MASK64 = (1 << 64) - 1
+# largest length, universe, k, hot or scan a workload spec may ask for;
+# every generator builds its whole trace, and zipf a table over its universe
+MAX_WORKLOAD_SIZE = 10 ** 7
 
 
 class SplitMix64:
@@ -109,33 +112,24 @@ class WorkloadSpec:
     kind: str
     params: tuple  # sorted (name, value) pairs
 
-    def param(self, name, default=None):
-        for key, value in self.params:
-            if key == name:
-                return value
-        return default
-
     def descriptor(self):
         return "%s:%s" % (self.kind, ",".join("%s=%s" % kv for kv in self.params))
 
     def generate(self):
-        p = dict(self.params)
-        if self.kind == "cycle":
-            return gen_cycle(p["k"], p["length"])
-        if self.kind == "fuzz":
-            return gen_fuzz(p["universe"], p["length"], p["seed"])
-        if self.kind == "zipf":
-            return gen_zipf(p["universe"], p["alpha"], p["length"], p["seed"])
-        if self.kind == "scan_mix":
-            return gen_scan_mix(p["hot"], p["scan"], p["length"], p["seed"])
-        raise ValueError("unknown workload kind %r" % (self.kind,))
+        if self.kind not in _WORKLOAD_KINDS:
+            raise ValueError("unknown workload kind %r" % (self.kind,))
+        generator, fields = _WORKLOAD_KINDS[self.kind]
+        params = dict(self.params)
+        return generator(*(params[name] for name in fields))
 
 
-_WORKLOAD_FIELDS = {
-    "cycle": {"k": int, "length": int},
-    "fuzz": {"universe": int, "length": int, "seed": int},
-    "zipf": {"universe": int, "alpha": float, "length": int, "seed": int},
-    "scan_mix": {"hot": int, "scan": int, "length": int, "seed": int},
+# kind -> (generator, its fields in the generator's argument order, each
+# with the type its value parses to)
+_WORKLOAD_KINDS = {
+    "cycle": (gen_cycle, {"k": int, "length": int}),
+    "fuzz": (gen_fuzz, {"universe": int, "length": int, "seed": int}),
+    "zipf": (gen_zipf, {"universe": int, "alpha": float, "length": int, "seed": int}),
+    "scan_mix": (gen_scan_mix, {"hot": int, "scan": int, "length": int, "seed": int}),
 }
 
 
@@ -144,16 +138,17 @@ def parse_workload(text, default_seed=0):
 
     Example: "zipf:universe=100,alpha=0.8,length=1000,seed=42". A missing
     seed falls back to default_seed; other fields are required. A
-    negative length or a non-finite alpha raises ValueError.
+    negative length, a size field (length, universe, k, hot, scan) above
+    MAX_WORKLOAD_SIZE or a non-finite alpha raises ValueError.
     """
     kind, _, rest = text.partition(":")
     kind = kind.strip()
-    if kind not in _WORKLOAD_FIELDS:
+    if kind not in _WORKLOAD_KINDS:
         raise ValueError(
             "unknown workload kind %r (expected one of %s)"
-            % (kind, ", ".join(sorted(_WORKLOAD_FIELDS)))
+            % (kind, ", ".join(sorted(_WORKLOAD_KINDS)))
         )
-    fields = _WORKLOAD_FIELDS[kind]
+    fields = _WORKLOAD_KINDS[kind][1]
     params = {}
     if rest.strip():
         for part in rest.split(","):
@@ -169,6 +164,10 @@ def parse_workload(text, default_seed=0):
         raise ValueError("workload %r is missing parameters: %s" % (kind, ", ".join(missing)))
     if params["length"] < 0:
         raise ValueError("workload length must be non-negative, got %d" % params["length"])
+    for name in ("length", "universe", "k", "hot", "scan"):
+        if params.get(name, 0) > MAX_WORKLOAD_SIZE:
+            raise ValueError("workload %s must be at most %d, got %d"
+                             % (name, MAX_WORKLOAD_SIZE, params[name]))
     if "alpha" in params and not math.isfinite(params["alpha"]):
         raise ValueError("workload alpha must be finite, got %r" % params["alpha"])
     return WorkloadSpec(kind=kind, params=tuple(sorted(params.items())))

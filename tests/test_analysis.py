@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import OrderedDict
 from fractions import Fraction
@@ -33,9 +34,9 @@ from cachelab import (
 )
 from cachelab import analysis
 from cachelab.analysis import (
-    DEFAULT_BOUND_MULTIPLIER,
     LockstepEntry,
     LockstepLog,
+    PotentialBreakdown,
     PrefixSizes,
 )
 from cachelab.core import AccessOutcome
@@ -367,11 +368,23 @@ CORPUS = [
 ]
 
 
+def reference_potential(policy, opt_cache):
+    """The from-scratch potential; a policy without one has phi = 0."""
+    potential = analysis.potential_for(policy)
+    if potential is None:
+        return PotentialBreakdown(phi=0, terms=())
+    return potential(policy, opt_cache)
+
+
 def reference_value(policy, opt_cache):
-    """(phi, prefixes, car_sum_r) from the from-scratch potential."""
-    breakdown = analysis.potential_for(policy)(policy, opt_cache)
+    """(phi, prefixes, ARC list sizes, car_sum_r) from the from-scratch
+    potential and the live policy."""
+    breakdown = reference_potential(policy, opt_cache)
+    sizes = None
+    if isinstance(policy, ArcCache):
+        sizes = (len(policy.t1), len(policy.t2), len(policy.b1), len(policy.b2))
     sum_r = breakdown.term("sum_r") if isinstance(policy, CarCache) else None
-    return breakdown.phi, breakdown.prefixes, sum_r
+    return breakdown.phi, breakdown.prefixes, sizes, sum_r
 
 
 def tracked_replay(trace, capacity, name, adaptation="unit"):
@@ -396,17 +409,16 @@ def tracked_replay(trace, capacity, name, adaptation="unit"):
 def reference_lockstep(trace, capacity, name, adaptation="unit"):
     """run_lockstep's entries as the from-scratch potentials give them."""
     policy = make_policy(name, capacity, adaptation)
-    potential = analysis.potential_for(policy)
     entries = []
-    phi_before = potential(policy, frozenset()).phi
+    phi_before = reference_potential(policy, frozenset()).phi
     for i, (page, step) in enumerate(zip(trace, belady_run(trace, capacity).steps)):
         full_before = policy.is_full
-        after_opt = potential(policy, step.cache_after)
+        after_opt = reference_potential(policy, step.cache_after)
         sizes_start = None
         if name == "arc":
             sizes_start = (len(policy.t1), len(policy.t2), len(policy.b1), len(policy.b2))
         outcome = policy.request(page)
-        after_alg = potential(policy, step.cache_after)
+        after_alg = reference_potential(policy, step.cache_after)
         car = name == "car"
         entries.append(LockstepEntry(
             index=i, page=page, c_opt=0 if step.was_hit else 1,
@@ -504,6 +516,9 @@ class TestCheckedPathUsesTrackers:
         for reference in ("clock_potential", "car_potential", "arc_potential",
                         "mru_prefix_sizes", "car_sweep_ranks", "potential_for"):
             monkeypatch.setattr(analysis, reference, unexpected)
+        # the table rows hold the potentials themselves
+        monkeypatch.setattr(analysis, "POLICY_TABLE", tuple(
+            dataclasses.replace(spec, potential=unexpected) for spec in analysis.POLICY_TABLE))
         trace = gen_zipf(20, 0.8, 600, seed=21)
         result, _ = verify_trace(name, 4, trace)
         assert result["opt_misses"] > 0
@@ -538,6 +553,10 @@ def reference_state_violations(name, capacity, adaptation, trace):
     return found
 
 
+# the papers' whole-run bound multipliers, kept apart from the table under test
+BOUND = {"LRU": 1, "CLOCK": 2, "ARC": 4, "CAR": 21}
+
+
 def reference_verify(name, capacity, trace, adaptation="unit", fail_on_car_step=False):
     log = run_lockstep(trace, capacity, name, adaptation)
     kind = log.policy_kind
@@ -549,7 +568,7 @@ def reference_verify(name, capacity, trace, adaptation="unit", fail_on_car_step=
         asserted = kind != "CAR" or fail_on_car_step
         hard = asserted and not step.ok
         checks["step"] = {"mode": "asserted" if asserted else "report-only",
-                          "bound_multiplier": DEFAULT_BOUND_MULTIPLIER[kind],
+                          "bound_multiplier": BOUND[kind],
                           "violation_count": len(step.violations),
                           "violations": step.to_dicts()}
         if kind == "ARC":
@@ -558,7 +577,7 @@ def reference_verify(name, capacity, trace, adaptation="unit", fail_on_car_step=
                                         "violations": audit.to_dicts()}
             hard = hard or not audit.ok
     if not ratio:
-        c = DEFAULT_BOUND_MULTIPLIER[kind]
+        c = BOUND[kind]
         holds = check_aggregate_bound(log.c_alg_total, log.c_opt_total, capacity, c)
         checks["aggregate"] = {
             "bound_multiplier": c, "lhs": log.c_alg_total,
@@ -596,7 +615,7 @@ def reference_simulation(name, capacity, trace, adaptation, checks, fail_on_car_
         for check, count in report.counts().items():
             violations[check] = violations.get(check, 0) + count
     if "potential" in checks and not ratio and not check_aggregate_bound(
-            log.c_alg_total, log.c_opt_total, capacity, DEFAULT_BOUND_MULTIPLIER[kind]):
+            log.c_alg_total, log.c_opt_total, capacity, BOUND[kind]):
         violations["aggregate_bound"] = 1
         hard = True
     state = reference_state_violations(name, capacity, adaptation, trace)
@@ -617,6 +636,19 @@ def reference_simulation(name, capacity, trace, adaptation, checks, fail_on_car_
         complete_phases=len([p for p in partition_phases(flags, capacity) if p.complete]),
         violations=violations, hard_failure=hard,
     )
+
+
+def inflate_car_potential(monkeypatch):
+    """Plant a CAR potential that the oracle's cache and B1 inflate, so
+    that every CAR step check fires."""
+    original = analysis._CarTracker.value
+
+    def inflated(tracker):
+        phi, prefixes, sizes, sum_r = original(tracker)
+        extra = 100 * len(tracker.opt_cache) + 50 * len(tracker.policy.b1)
+        return phi + extra, prefixes, sizes, sum_r + extra
+
+    monkeypatch.setattr(analysis._CarTracker, "value", inflated)
 
 
 def assert_pass_matches_reference(trace, capacity, checks_sets=CHECK_SETS):
@@ -679,16 +711,9 @@ class TestStreamingPass:
         assert report.opt_misses is None and report.violations == {}
 
     def test_matches_reference_with_every_car_finding(self, monkeypatch):
-        # a planted potential that the oracle's cache and B1 inflate fires
-        # all three CAR checks, whose findings come in one block per check
-        original = analysis._CarTracker.value
-
-        def inflated(tracker):
-            phi, prefixes, sum_r = original(tracker)
-            extra = 100 * len(tracker.opt_cache) + 50 * len(tracker.policy.b1)
-            return phi + extra, prefixes, sum_r + extra
-
-        monkeypatch.setattr(analysis._CarTracker, "value", inflated)
+        # all three CAR checks fire, and their findings come in one block
+        # per check
+        inflate_car_potential(monkeypatch)
         trace = gen_fuzz(6, 150, seed=8)
         result, _ = verify_trace("car", 3, trace)
         found = [v["check"] for v in result["checks"]["step"]["violations"]]
@@ -776,3 +801,50 @@ class TestAmbiguousPages:
         with pytest.raises(ValueError, match="pages 1 and '1'"):
             run_lockstep([1, 2, "1"], 2, "arc")
         assert verify_trace("clock", 2, [1, 1.0, True])[0]["policy_misses"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the policy table
+
+
+class TestPolicyTable:
+    def test_rows_carry_the_papers_bounds_in_order(self):
+        rows = [(spec.name, spec.adaptation, spec.bound) for spec in analysis.POLICY_TABLE]
+        assert rows == [("lru", None, 1), ("clock", None, 2), ("arc", "unit", 4),
+                        ("arc", "ratio", None), ("car", None, 21)]
+        assert [spec.name for spec in analysis.POLICY_TABLE
+                if not spec.step_asserted] == ["car"]
+
+    def test_make_policy_reads_the_table(self):
+        assert type(make_policy("LRU", 2, "ratio")) is LruCache
+        assert make_policy("arc", 2, "ratio").adaptation == "ratio"
+        assert make_policy("car", 2).adaptation is None
+        with pytest.raises(ValueError, match="unknown policy 'fifo' \\(expected lru, clock, "
+                                             "arc or car\\)"):
+            make_policy("fifo", 2)
+        with pytest.raises(ValueError, match="unknown adaptation 'x'"):
+            make_policy("arc", 2, "x")
+
+    def test_check_step_inequalities_keeps_to_the_step_bound_on_car(self, monkeypatch):
+        inflate_car_potential(monkeypatch)
+        log = run_lockstep(gen_fuzz(6, 150, seed=8), 3, "car")
+        step = check_step_inequalities(log)
+        assert step.violations
+        assert {v.check for v in step.violations} <= {"request_bound", "opt_step_bound"}
+        full = car_step_report(log)
+        assert full.violations[:len(step.violations)] == step.violations
+        assert {v.check for v in full.violations[len(step.violations):]} == {
+            "opt_step_fine_bound", "sweep_rank_nonincrease"}
+
+    def test_an_added_row_needs_no_other_edit(self, monkeypatch):
+        lru = analysis.POLICY_TABLE[0]
+        monkeypatch.setattr(analysis, "POLICY_TABLE",
+                            analysis.POLICY_TABLE + (dataclasses.replace(lru, name="lru2"),))
+        trace = gen_zipf(20, 0.8, 400, seed=3)
+        for checks in [()] + CHECK_SETS:
+            got = run_simulation("lru2", 4, trace, checks=checks).to_dict()
+            want = run_simulation("lru", 4, trace, checks=checks).to_dict()
+            assert got == dict(want, policy="lru2")
+        result, hard = verify_trace("lru2", 4, trace)
+        assert (result, hard) == (dict(verify_trace("lru", 4, trace)[0], policy="lru2"), False)
+        assert result["checks"]["aggregate"]["bound_multiplier"] == 1

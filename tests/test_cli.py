@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -6,7 +7,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachelab.cli import main
+from cachelab import analysis, workloads
+from cachelab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +152,69 @@ def test_negative_length_exits_two(capsys):
     assert out == ""
     assert "length must be non-negative" in err
 
+
+@pytest.mark.parametrize("spec", [
+    "cycle:k=3,length=99999999999999999999",
+    "zipf:universe=99999999999999999999,alpha=0.9,length=10,seed=1",
+    "scan_mix:hot=4,scan=10000001,length=10,seed=1",
+])
+def test_oversized_workload_exits_two_without_generating(capsys, monkeypatch, spec):
+    def unexpected(*args):
+        raise AssertionError("an oversized workload was generated")
+
+    for kind, (_, fields) in list(workloads._WORKLOAD_KINDS.items()):
+        monkeypatch.setitem(workloads._WORKLOAD_KINDS, kind, (unexpected, fields))
+    code, out, err = run_cli(capsys, "simulate", "--policy", "lru", "--cache-size", "2",
+                             "--workload", spec)
+    assert code == 2
+    assert out == ""
+    assert "must be at most 10000000" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the policy table drives the choices and compare
+
+
+def subcommand_choices(command, option):
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    return tuple(next(a for a in sub._actions if option in a.option_strings).choices)
+
+
+def test_choices_follow_the_policy_table():
+    names = tuple(dict.fromkeys(spec.name for spec in analysis.POLICY_TABLE))
+    assert names == ("lru", "clock", "arc", "car")
+    assert subcommand_choices("simulate", "--policy") == names + ("opt",)
+    assert subcommand_choices("verify", "--policy") == names
+    for command in ("simulate", "verify"):
+        assert subcommand_choices(command, "--adaptation") == ("unit", "ratio")
+
+
+def compare_rows(capsys, *argv):
+    code, out, _ = run_cli(capsys, "compare", "--cache-size", "3", "--format", "json",
+                           "--workload", "zipf:universe=12,alpha=0.9,length=300,seed=2", *argv)
+    assert code == 0
+    return json.loads(out)
+
+
+def test_compare_rows_are_the_table_then_opt(capsys):
+    rows = [(r["policy"], r["adaptation"]) for r in compare_rows(capsys)]
+    assert rows == [(s.name, s.adaptation) for s in analysis.POLICY_TABLE] + [("opt", None)]
+
+
+def test_an_added_row_reaches_the_cli(capsys, monkeypatch):
+    lru = analysis.POLICY_TABLE[0]
+    before = compare_rows(capsys)
+    monkeypatch.setattr(analysis, "POLICY_TABLE",
+                        analysis.POLICY_TABLE + (dataclasses.replace(lru, name="lru2"),))
+    assert "lru2" in subcommand_choices("simulate", "--policy")
+    assert "lru2" in subcommand_choices("verify", "--policy")
+    after = compare_rows(capsys)
+    assert [r["policy"] for r in after] == ["lru", "clock", "arc", "arc", "car", "lru2", "opt"]
+    assert after[:5] + after[6:] == before
+    assert after[5] == dict(before[0], policy="lru2")
+    code, out, _ = run_cli(capsys, "verify", "--policy", "lru2", "--cache-size", "3",
+                           "--workload", "cycle:k=4,length=40")
+    assert code == 0 and json.loads(out)["checks"]["aggregate"]["bound_multiplier"] == 1
 
 # ---------------------------------------------------------------------------
 # fuzzing: random argv from a small grammar, random trace bytes on stdin

@@ -11,6 +11,7 @@ from cachelab import (
     gen_zipf,
     parse_workload,
 )
+from cachelab.workloads import MAX_WORKLOAD_SIZE
 
 
 class TestSplitMix64:
@@ -100,7 +101,7 @@ class TestParseWorkload:
 
     def test_default_seed_applies(self):
         spec = parse_workload("fuzz:universe=8,length=10", default_seed=7)
-        assert spec.param("seed") == 7
+        assert dict(spec.params)["seed"] == 7
 
     def test_cycle_has_no_seed(self):
         spec = parse_workload("cycle:k=3,length=7")
@@ -133,3 +134,32 @@ class TestParseWorkload:
 
     def test_zero_length_still_allowed(self):
         assert parse_workload("fuzz:universe=8,length=0,seed=1").generate() == []
+
+    @pytest.mark.parametrize("field,spec", [
+        ("length", "cycle:k=3,length=%d"), ("k", "cycle:k=%d,length=5"),
+        ("universe", "fuzz:universe=%d,length=5,seed=1"),
+        ("universe", "zipf:universe=%d,alpha=0.9,length=5,seed=1"),
+        ("hot", "scan_mix:hot=%d,scan=2,length=5,seed=1"),
+        ("scan", "scan_mix:hot=4,scan=%d,length=5,seed=1"),
+    ])
+    def test_sizes_above_the_limit_rejected(self, field, spec):
+        # parsing only: none of these traces is generated
+        assert MAX_WORKLOAD_SIZE == 10 ** 7
+        assert dict(parse_workload(spec % MAX_WORKLOAD_SIZE).params)[field] == MAX_WORKLOAD_SIZE
+        with pytest.raises(ValueError, match="workload %s must be at most 10000000, got 10000001"
+                                             % field):
+            parse_workload(spec % (MAX_WORKLOAD_SIZE + 1))
+        with pytest.raises(ValueError, match="workload %s must be at most" % field):
+            parse_workload(spec % 99999999999999999999)
+
+    def test_seed_has_no_limit(self):
+        spec = parse_workload("fuzz:universe=8,length=3,seed=99999999999999999999")
+        assert len(spec.generate()) == 3
+
+    def test_every_kind_generates_through_the_one_table(self):
+        specs = {"cycle:k=3,length=5": [0, 1, 2, 0, 1],
+                 "fuzz:universe=8,length=5,seed=1": gen_fuzz(8, 5, 1),
+                 "zipf:universe=10,alpha=0.9,length=5,seed=1": gen_zipf(10, 0.9, 5, 1),
+                 "scan_mix:hot=4,scan=2,length=9,seed=1": gen_scan_mix(4, 2, 9, 1)}
+        for text, trace in specs.items():
+            assert parse_workload(text).generate() == trace
