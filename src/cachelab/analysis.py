@@ -552,19 +552,6 @@ def _lockstep_entries(trace, policy):
         )
 
 
-def _plain_entries(trace, policy):
-    """Serve a trace without the oracle, yielding entries as
-    _lockstep_entries does; their oracle and potential fields are None."""
-    for i, page in enumerate(trace):
-        full_before = policy.is_full
-        outcome = policy.request(page)
-        yield LockstepEntry(
-            index=i, page=page, c_opt=None, c_alg=0 if outcome.was_hit else 1,
-            phi_before=None, phi_after_opt=None, phi_after_alg=None, digest=None,
-            opt_cache=None, cache_full_before=full_before, outcome=outcome,
-        )
-
-
 def run_lockstep(trace, capacity, policy_name, adaptation=ADAPT_UNIT):
     """Replay a trace with the oracle moving first on every request and
     keep every entry, each with the policy digest after its request: the
@@ -773,9 +760,9 @@ def check_arc_structure(arc, was_full=None):
     report, bad = _state_violations(arc)
     n = arc.capacity
     t1, t2, b1, b2 = len(arc.t1), len(arc.t2), len(arc.b1), len(arc.b2)
-    union = set(arc.t1) | set(arc.t2) | set(arc.b1) | set(arc.b2)
-    if len(union) != t1 + t2 + b1 + b2:
-        bad("lists_disjoint", t1 + t2 + b1 + b2, len(union))
+    distinct = len(set().union(arc.t1, arc.t2, arc.b1, arc.b2))
+    if distinct != t1 + t2 + b1 + b2:
+        bad("lists_disjoint", t1 + t2 + b1 + b2, distinct)
     if not 0 <= t1 + t2 <= n:
         bad("size_bound_cache", t1 + t2, n)
     if not 0 <= t1 + b1 <= n:
@@ -932,10 +919,10 @@ ALL_CHECKS = ("invariants", "potential", "lemmas")
 
 @dataclass
 class Verification:
-    """What one checked run found, for the policy row spec. A report is
-    None, and so is aggregate_holds, when its check was not requested or
-    does not apply to the policy; opt_misses is None when no check needed
-    the oracle."""
+    """What one run found, for the policy row spec. A report is None, and
+    so is aggregate_holds, when its check was not requested or does not
+    apply to the policy; opt_misses is None when no check needed the
+    oracle."""
 
     spec: PolicySpec
     miss_flags: bytearray
@@ -970,22 +957,38 @@ class Verification:
         return tally
 
 
+def _audit_state(structural, policy, index, was_full, state):
+    """Add the structural checker's findings on the live policy after
+    request index to state; returns the fullness flag for the next one."""
+    for v in structural(policy, was_full).violations:
+        state.violations.append(replace(v, index=index))
+    return was_full or policy.is_full
+
+
 def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_CHECKS,
                fail_on_car_step=False):
-    """Run the requested checks over a trace in one streaming pass.
+    """Run a policy over a trace with the requested checks, in one
+    streaming pass; with no checks it is the plain replay.
 
-    checks is a subset of ALL_CHECKS, and the policy's POLICY_TABLE row
-    says what each runs. potential (the row's step_checks, asserted for
-    CAR only under fail_on_car_step, and the aggregate bound) and lemmas
-    (its lemma_checks: the ARC eviction audit) replay in lockstep with
-    the oracle; without them no oracle or potential is computed.
-    invariants runs the row's structural checker (ARC, CAR) on the live
-    policy after every request. Each per-step check reads one entry
-    at a time and no entry is kept; the policy digest is rendered only
-    after a request on which a check fires, so it shows the state that
-    request left. Pages whose digest would be ambiguous raise ValueError.
+    checks is a subset of ALL_CHECKS (another name raises ValueError),
+    and the policy's POLICY_TABLE row says what each runs. potential (the
+    row's step_checks, asserted for CAR only under fail_on_car_step, and
+    the aggregate bound) and lemmas (its lemma_checks: the ARC eviction
+    audit) replay in lockstep with the oracle; without them no oracle or
+    potential is computed. invariants runs the row's structural checker
+    (ARC, CAR) on the live policy after every request. Each per-step
+    check reads one entry at a time and no entry is kept; the policy
+    digest is rendered only after a request on which a check fires, so it
+    shows the state that request left. A checked run raises ValueError on
+    pages whose digest would be ambiguous; an unchecked one accepts any
+    hashable page.
     """
-    check_page_tokens(trace)
+    checks = set(checks)
+    unknown = checks.difference(ALL_CHECKS)
+    if unknown:
+        raise ValueError("unknown checks: %s" % ", ".join(sorted(map(str, unknown))))
+    if checks:
+        check_page_tokens(trace)
     spec = _spec_named(policy_name, adaptation)
     policy = spec.make(capacity)
     # (report, per-entry check, findings); a report joins the findings of
@@ -1003,20 +1006,24 @@ def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_C
     opt_misses = 0
     entry = None
     was_full = False
-    for entry in (_lockstep_entries if lockstep else _plain_entries)(trace, policy):
-        miss_flags.append(entry.c_alg)
-        if lockstep:
+    if lockstep:
+        for entry in _lockstep_entries(trace, policy):
+            miss_flags.append(entry.c_alg)
             opt_misses += entry.c_opt
-        digest = None
-        for _, find, found in plan:
-            for step, check, lhs, rhs in find(entry, spec, capacity):
-                if digest is None:
-                    digest = policy.digest()
-                found.append(_violation(entry, step, check, lhs, rhs, digest))
-        if structural is not None:
-            for v in structural(policy, was_full).violations:
-                state.violations.append(replace(v, index=entry.index))
-            was_full = was_full or policy.is_full
+            digest = None
+            for _, find, found in plan:
+                for step, check, lhs, rhs in find(entry, spec, capacity):
+                    if digest is None:
+                        digest = policy.digest()
+                    found.append(_violation(entry, step, check, lhs, rhs, digest))
+            if structural is not None:
+                was_full = _audit_state(structural, policy, entry.index, was_full, state)
+    else:
+        request, append = policy.request, miss_flags.append
+        for page in trace:
+            append(not request(page).was_hit)
+            if structural is not None:
+                was_full = _audit_state(structural, policy, len(miss_flags) - 1, was_full, state)
 
     reports = {}
     for name, _, found in plan:
@@ -1025,7 +1032,7 @@ def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_C
         spec=spec,
         miss_flags=miss_flags,
         opt_misses=opt_misses if lockstep else None,
-        final_potential=entry.phi_after_alg if lockstep and entry is not None else 0,
+        final_potential=entry.phi_after_alg if entry is not None else 0,
         step=reports.get("step"),
         step_asserted=spec.step_asserted or fail_on_car_step,
         eviction_audit=reports.get("eviction_audit"),

@@ -8,13 +8,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analysis import (
-    ADAPT_UNIT,
-    ALL_CHECKS,
-    make_policy,
-    partition_phases,
-    run_checks,
-)
+from .analysis import ADAPT_UNIT, partition_phases, run_checks
 from .core import RESERVED_TOKEN_CHARS
 from .opt import belady_run
 
@@ -104,58 +98,31 @@ class RunReport:
         }
 
 
-def _opt_report(trace, capacity, label):
-    schedule = belady_run(trace, capacity)
-    misses = schedule.miss_count
-    total = len(trace)
-    hits = total - misses
-    return RunReport(
-        policy="opt",
-        adaptation=None,
-        cache_size=capacity,
-        trace=label,
-        requests=total,
-        hits=hits,
-        misses=misses,
-        hit_ratio=Fraction(hits, total) if total else None,
-        opt_misses=misses,
-        miss_to_opt_ratio=Fraction(1) if misses else None,
-        complete_phases=len([p for p in partition_phases(schedule.miss_flags(), capacity) if p.complete]),
-    )
-
-
 def run_simulation(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
                    checks=(), trace_label=None, fail_on_car_step=False):
     """Run one policy over a trace, optionally with verification checks.
 
-    checks is a subset of {"invariants", "potential", "lemmas"}; any of
-    them runs the trace through analysis.run_checks (see there), and the
-    report counts its violations per check. CAR per-step findings are
-    observational and only flip the report's hard_failure when
-    fail_on_car_step is set.
+    Every policy runs through analysis.run_checks (see there), which
+    rejects a check name outside ALL_CHECKS; the report counts the
+    violations per check. CAR per-step findings are observational and
+    only flip the report's hard_failure when fail_on_car_step is set.
+    The policy "opt" is the oracle itself: it reads belady_run's miss
+    flags, and asking it for checks raises ValueError.
     """
     if capacity < 1:
         raise ValueError("cache size must be at least 1, got %r" % (capacity,))
-    checks = set(checks)
-    unknown = checks - set(ALL_CHECKS)
-    if unknown:
-        raise ValueError("unknown checks: %s" % ", ".join(sorted(map(str, unknown))))
     label = trace_label if trace_label is not None else "inline:%d" % len(trace)
     name = policy_name.lower()
     if name == "opt":
-        return _opt_report(trace, capacity, label)
-
-    if checks:
+        for flag, given in (("--checks", checks), ("--fail-on-car-step", fail_on_car_step)):
+            if given:
+                raise ValueError("policy opt is the oracle and runs no checks; drop %s" % flag)
+        miss_flags = belady_run(trace, capacity).miss_flags()
+        opt_misses, adaptation, violations, hard = sum(miss_flags), None, {}, False
+    else:
         run = run_checks(trace, capacity, name, adaptation, checks, fail_on_car_step)
         miss_flags, opt_misses, adaptation = run.miss_flags, run.opt_misses, run.spec.adaptation
         violations, hard = run.violation_counts(), run.hard_failure
-    else:
-        policy = make_policy(name, capacity, adaptation)
-        miss_flags = []
-        for page in trace:
-            miss_flags.append(not policy.request(page).was_hit)
-        opt_misses, adaptation = None, policy.adaptation
-        violations, hard = {}, False
 
     total = len(trace)
     misses = sum(miss_flags)

@@ -336,6 +336,36 @@ class TestCarInvariantChecker:
         assert "fullness_monotone" in checks
 
 
+def plant_arc_defect(monkeypatch, defect):
+    """Make ARC call defect(arc) after each request for page 4."""
+    request = ArcCache.request
+
+    def broken(self, page):
+        outcome = request(self, page)
+        if page == 4:
+            defect(self)
+        return outcome
+
+    monkeypatch.setattr(ArcCache, "request", broken)
+
+
+class TestArcStructure:
+    def test_planted_duplicate_fires_wherever_the_four_set_union_did(self, monkeypatch):
+        # page 4 also lands in B2 whenever ARC serves it
+        plant_arc_defect(monkeypatch, lambda arc: arc.b2.__setitem__(4, True))
+        arc = ArcCache(3)
+        fired = 0
+        for i, page in enumerate(gen_fuzz(6, 300, seed=7)):
+            arc.request(page)
+            sizes = len(arc.t1) + len(arc.t2) + len(arc.b1) + len(arc.b2)
+            union = set(arc.t1) | set(arc.t2) | set(arc.b1) | set(arc.b2)
+            found = [(v.lhs, v.rhs) for v in check_arc_structure(arc).violations
+                     if v.check == "lists_disjoint"]
+            assert found == ([(sizes, len(union))] if len(union) != sizes else []), i
+            fired += len(found)
+        assert fired >= 10
+
+
 class TestCarStepReport:
     def test_report_is_machine_readable(self):
         trace = gen_fuzz(16, 600, seed=1007)
@@ -801,6 +831,65 @@ class TestAmbiguousPages:
         with pytest.raises(ValueError, match="pages 1 and '1'"):
             run_lockstep([1, 2, "1"], 2, "arc")
         assert verify_trace("clock", 2, [1, 1.0, True])[0]["policy_misses"] == 1
+
+
+# ---------------------------------------------------------------------------
+# one replay path: unchecked runs go through run_checks too
+
+
+class TestOneReplayPath:
+    @pytest.mark.parametrize("spec", [
+        "fuzz:universe=9,length=400,seed=41",
+        "zipf:universe=30,alpha=0.9,length=400,seed=42",
+        "scan_mix:hot=4,scan=12,length=400,seed=43",
+    ])
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 8])
+    def test_unchecked_runs_equal_a_bare_replay(self, spec, capacity):
+        trace = parse_workload(spec).generate()
+        for row in analysis.POLICY_TABLE:
+            adaptation = row.adaptation or "unit"
+            policy = make_policy(row.name, capacity, adaptation)
+            flags = [not policy.request(page).was_hit for page in trace]
+            run = analysis.run_checks(trace, capacity, row.name, adaptation, checks=())
+            assert [bool(flag) for flag in run.miss_flags] == flags
+            assert (run.opt_misses, run.step, run.eviction_audit, run.state) == (None,) * 4
+            misses = sum(flags)
+            want = RunReport(
+                policy=row.name, adaptation=row.adaptation, cache_size=capacity,
+                trace="inline:%d" % len(trace), requests=len(trace),
+                hits=len(trace) - misses, misses=misses,
+                hit_ratio=Fraction(len(trace) - misses, len(trace)),
+                complete_phases=misses // capacity,
+            )
+            got = run_simulation(row.name, capacity, trace, adaptation)
+            assert got.to_dict() == want.to_dict()
+
+    def test_invariants_match_the_reference_on_a_planted_defect(self, monkeypatch):
+        # ARC pushes its target out of range on page 4
+        plant_arc_defect(monkeypatch, lambda arc: setattr(arc, "p", arc.capacity + 1))
+        trace = gen_fuzz(6, 200, seed=3)
+        run = analysis.run_checks(trace, 3, "arc", checks=("invariants",))
+        got = [(v.index, v.check, v.digest) for v in run.state.violations]
+        want = [(v["index"], v["check"], v["digest"])
+                for v in reference_state_violations("arc", 3, "unit", trace)]
+        assert got == want and len(got) >= 1
+        report = run_simulation("arc", 3, trace, checks=("invariants",))
+        assert report.violations == {"state_invariants": len(want)} and report.hard_failure
+
+    def test_only_checked_runs_reject_pages_with_equal_str_forms(self):
+        trace = [1, "1", 1]
+        for row in analysis.POLICY_TABLE:
+            run = analysis.run_checks(trace, 2, row.name, row.adaptation or "unit", checks=())
+            assert list(run.miss_flags) == [1, 1, 0]
+            for checks in CHECK_SETS:
+                with pytest.raises(ValueError, match="pages 1 and '1' .*digest"):
+                    analysis.run_checks(trace, 2, row.name, row.adaptation or "unit", checks)
+
+    def test_unknown_check_names_raise(self):
+        with pytest.raises(ValueError, match="^unknown checks: potental$"):
+            analysis.run_checks([1, 2, 1], 3, "arc", checks=("potental",))
+        with pytest.raises(ValueError, match="^unknown checks: bogus, x$"):
+            analysis.run_checks([1, 2, 1], 3, "lru", checks=("x", "invariants", "bogus"))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,26 @@ def test_verify_car_fail_flag(capsys):
     assert code == expected
 
 
+@pytest.mark.parametrize("flags", [("--checks", "potential"), ("--checks", "invariants,lemmas"),
+                                   ("--fail-on-car-step",)])
+def test_opt_with_checks_exits_two(capsys, flags):
+    code, out, err = run_cli(capsys, "simulate", "--policy", "opt", "--cache-size", "3",
+                             "--workload", "cycle:k=4,length=20", *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: policy opt is the oracle and runs no checks; drop %s\n" % flags[0]
+
+
+def test_compare_exits_zero_where_car_has_step_findings(capsys):
+    workload = "fuzz:universe=10,length=2000,seed=5"
+    code, out, _ = run_cli(capsys, "verify", "--policy", "car", "--cache-size", "3",
+                           "--workload", workload)
+    assert code == 0 and json.loads(out)["checks"]["step"]["violation_count"] >= 1
+    code, out, _ = run_cli(capsys, "compare", "--cache-size", "3", "--format", "json",
+                           "--workload", workload)
+    assert code == 0
+    assert all(r["violations"] == {} and not r["hard_failure"] for r in json.loads(out))
+
+
 def test_stdin_trace(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(b"1 2 1\n")})())

@@ -66,6 +66,16 @@ class TestRunSimulation:
                                 checks=("invariants",))
         assert "state_invariants" not in report.violations
 
+    def test_opt_refuses_checks(self):
+        trace = [1, 2, 3, 1, 2]
+        for checks in (("invariants",), ("potential", "lemmas"), ("bogus",)):
+            with pytest.raises(ValueError, match="opt .*no checks; drop --checks$"):
+                run_simulation("opt", 2, trace, checks=checks)
+        with pytest.raises(ValueError, match="opt .*no checks; drop --fail-on-car-step$"):
+            run_simulation("opt", 2, trace, fail_on_car_step=True)
+        report = run_simulation("opt", 2, trace, checks=())
+        assert (report.misses, report.opt_misses, report.violations) == (4, 4, {})
+
     def test_unknown_policy_and_checks_rejected(self):
         with pytest.raises(ValueError):
             run_simulation("mru", 2, [1])
