@@ -109,11 +109,11 @@ def mru_prefix_sizes(arc, opt_cache):
 
 @dataclass(frozen=True)
 class PotentialBreakdown:
-    """A potential value with its named additive terms (phi == sum)."""
+    """A potential value, its named additive terms (phi == sum) and its audit."""
 
     phi: int
     terms: tuple  # (name, value) pairs
-    prefixes: PrefixSizes | None = None
+    audit: object = None
 
     def term(self, name):
         for key, value in self.terms:
@@ -138,7 +138,8 @@ def arc_potential(arc, opt_cache):
         ("b2_prime", -3 * (pre.b2 - t)),
         ("t2_prime", -4 * (pre.t2 - t)),
     )
-    return PotentialBreakdown(phi=sum(v for _, v in terms), terms=terms, prefixes=pre)
+    sizes = (len(arc.t1), len(arc.t2), len(arc.b1), len(arc.b2))
+    return PotentialBreakdown(phi=sum(v for _, v in terms), terms=terms, audit=(pre, sizes))
 
 
 def clock_potential(clock, opt_cache):
@@ -202,7 +203,7 @@ def car_potential(car, opt_cache):
         ("shared", -3 * shared),
         ("sum_r", 3 * sum_r),
     )
-    return PotentialBreakdown(phi=sum(v for _, v in terms), terms=terms)
+    return PotentialBreakdown(phi=sum(v for _, v in terms), terms=terms, audit=3 * sum_r)
 
 
 def potential_for(policy):
@@ -320,9 +321,10 @@ class _GhostList:
 
 class _Tracker:
     """A potential tracker: opt_step follows an oracle miss, alg_step the
-    policy's request, and value() gives (phi, prefixes, sizes,
-    car_sum_r) as the lockstep entry stores them. This base class is
-    LRU's zero potential."""
+    policy's request, and value() gives (phi, audit). The audit is
+    whatever the row's per-entry checks read besides phi, None where they
+    read nothing; the lockstep entry stores it after each half-step
+    without looking inside. This base class is LRU's zero potential."""
 
     def __init__(self, policy):
         self.policy = policy
@@ -335,7 +337,7 @@ class _Tracker:
         pass
 
     def value(self):
-        return 0, None, None, None
+        return 0, None
 
 
 class _ClockTracker(_Tracker):
@@ -369,13 +371,14 @@ class _ClockTracker(_Tracker):
 
     def value(self):
         ring = self.ring
-        return ring.position_sum() + self.policy.capacity * ring.marked, None, None, None
+        return ring.position_sum() + self.policy.capacity * ring.marked, None
 
 
 class _ArcTracker(_Tracker):
     """arc_potential, walking each MRU prefix from its MRU end only as far
-    as the first page outside the oracle cache. value() also gives the
-    list sizes (|T1|, |T2|, |B1|, |B2|) the eviction audit reads."""
+    as the first page outside the oracle cache. The audit is the
+    PrefixSizes and the list sizes (|T1|, |T2|, |B1|, |B2|) the eviction
+    audit reads."""
 
     def value(self):
         arc, opt_cache = self.policy, self.opt_cache
@@ -386,7 +389,7 @@ class _ArcTracker(_Tracker):
         t = t1_len + t2_len
         phi = arc.p - ((l1 - t1p - t) + 2 * (t1p - t) + 3 * (l2 - t2p - t) + 4 * (t2p - t))
         sizes = (t1_len, t2_len, len(arc.b1), len(arc.b2))
-        return phi, PrefixSizes(t1p, t2p, l1 - t1p, l2 - t2p, l1, l2), sizes, None
+        return phi, (PrefixSizes(t1p, t2p, l1 - t1p, l2 - t2p, l1, l2), sizes)
 
 
 def _mru_prefix(cached, ghosts, opt_cache):
@@ -401,7 +404,7 @@ def _mru_prefix(cached, ghosts, opt_cache):
 
 class _CarTracker(_Tracker):
     """car_potential from a stamped ring for each of T1 and T2 and a
-    position sum for each of B1 and B2."""
+    position sum for each of B1 and B2; the audit is the term 3 * sum_r."""
 
     def __init__(self, car):
         super().__init__(car)
@@ -465,7 +468,7 @@ class _CarTracker(_Tracker):
                  + self.b1.position_sum + self.b2.position_sum)
         shared = len(car.ref) - t1.outside - t2.outside
         phi = car.p + 2 * (b1_len + len(car.t1)) - 3 * shared + 3 * sum_r
-        return phi, None, None, 3 * sum_r
+        return phi, 3 * sum_r
 
 
 def potential_tracker(policy):
@@ -491,11 +494,8 @@ class LockstepEntry:
     opt_cache: frozenset
     cache_full_before: bool
     outcome: object
-    prefixes_start: PrefixSizes | None = None
-    prefixes_end: PrefixSizes | None = None
-    sizes_start: tuple | None = None  # (|T1|, |T2|, |B1|, |B2|) before the policy step
-    car_sum_r_opt: int | None = None  # CAR sweep-rank sum after the OPT half-step
-    car_sum_r_alg: int | None = None  # ... and after the policy half-step
+    audit_opt: object = None  # the tracker's audit after the OPT half-step
+    audit_alg: object = None  # ... and after the policy half-step
 
 
 @dataclass
@@ -525,8 +525,8 @@ def _lockstep_entries(trace, policy):
     Yields one LockstepEntry per request as soon as the policy has served
     it, so the live policy is in the state the entry describes. An entry
     records the costs, the potential before the request / after the
-    oracle half-step / after the policy half-step, and the per-step audit
-    data the checkers need; its digest is left None. The potentials come
+    oracle half-step / after the policy half-step, and the tracker's
+    audit after each half-step; its digest is left None. The potentials come
     from potential_tracker and equal those of potential_for.
     """
     tracker = potential_tracker(policy)
@@ -542,13 +542,13 @@ def _lockstep_entries(trace, policy):
         tracker.alg_step(page, outcome)
         phi_before = after_alg[0]
         after_alg = tracker.value()
-        # positional, in field order: sixteen keywords cost about a
-        # microsecond more per request. after_opt's sizes are those before
-        # the policy step: the oracle half-step leaves the policy alone.
+        # positional, in field order: thirteen keywords cost about a
+        # microsecond more per request. after_opt's audit describes the
+        # policy before its step: the oracle half-step leaves it alone.
         yield LockstepEntry(
             i, page, 0 if step.was_hit else 1, 0 if outcome.was_hit else 1,
             phi_before, after_opt[0], after_alg[0], None, step.cache_after, full_before,
-            outcome, after_opt[1], after_alg[1], after_opt[2], after_opt[3], after_alg[3],
+            outcome, after_opt[1], after_alg[1],
         )
 
 
@@ -688,10 +688,9 @@ def _eviction_findings(entry, spec, n):
     if not entry.cache_full_before or entry.c_alg == 0:
         return ()
     found = []
-    pre = entry.prefixes_start
-    post = entry.prefixes_end
+    pre, (t1_len, t2_len, b1_len, b2_len) = entry.audit_opt
+    post, _ = entry.audit_alg
     out = entry.outcome
-    t1_len, t2_len, b1_len, b2_len = entry.sizes_start
     if out.history_hit is None:  # a miss outside the directory
         covered = pre.t1 + pre.t2 + pre.b1 + pre.b2
         if covered >= n:
@@ -815,9 +814,9 @@ def _opt_fine_findings(entry, spec, n):
 
 
 def _sweep_rank_findings(entry, spec, n):
-    """The sweep-rank monotonicity check on one CAR entry."""
-    if entry.cache_full_before and entry.c_alg and entry.car_sum_r_alg > entry.car_sum_r_opt:
-        return (("ALG", "sweep_rank_nonincrease", entry.car_sum_r_alg, entry.car_sum_r_opt),)
+    """The sweep-rank monotonicity check on one CAR entry (audit 3 * sum_r)."""
+    if entry.cache_full_before and entry.c_alg and entry.audit_alg > entry.audit_opt:
+        return (("ALG", "sweep_rank_nonincrease", entry.audit_alg, entry.audit_opt),)
     return ()
 
 
@@ -848,13 +847,15 @@ class PolicySpec:
     serves every requested adaptation. bound is the c of the whole-run
     bound c*N*OPT + c*N and of the per-step bound, None where neither is
     checked. potential is the from-scratch potential, None where phi is
-    0, and tracker the class that follows the same value request by
-    request. structural is the checker run on the live policy after each
-    request. step_checks run under the potential check and lemma_checks
-    under lemmas, in this order; each is find(entry, spec, capacity) ->
-    (step, check, lhs, rhs) findings. step_gated audits a request's step
-    bound only once the cache has filled; step_asserted makes step
-    findings hard failures rather than reports.
+    0, and tracker the class that follows it request by request, with the
+    audit the checks read. structural is the checker run on the live
+    policy after each request. step_checks run under the potential check
+    and lemma_checks under lemmas, in this order; each is find(entry,
+    spec, capacity) -> (step, check, lhs, rhs) findings, reading the
+    entry's audit_opt and audit_alg where they need more than phi.
+    step_gated audits a request's step bound only once the cache has
+    filled; step_asserted makes step findings hard failures rather than
+    reports.
     """
 
     name: str

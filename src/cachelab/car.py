@@ -119,15 +119,14 @@ class CarCache(Policy):
             return AccessOutcome(was_hit=True)
 
         old_p = self.p
-        in_b1 = page in self.b1
-        in_b2 = page in self.b2
+        history_hit = "B1" if page in self.b1 else "B2" if page in self.b2 else None
         moved = dest = None
         hist_evicted = hist_from = None
         swept = ()
         if len(self.t1) + len(self.t2) == self.capacity:
             moved, dest = self.replace()
             swept = self.last_swept
-            if not (in_b1 or in_b2):
+            if history_hit is None:
                 if len(self.t1) + len(self.b1) == self.capacity:
                     hist_evicted, _ = self.b1.popitem(last=False)
                     hist_from = "B1"
@@ -135,22 +134,15 @@ class CarCache(Policy):
                       == 2 * self.capacity):
                     hist_evicted, _ = self.b2.popitem(last=False)
                     hist_from = "B2"
-        if not (in_b1 or in_b2):
+        if history_hit is None:
             self.t1.append(page)
-            self.ref[page] = 0
-            history_hit = None
-        elif in_b1:
-            self.adapt("B1")
-            del self.b1[page]
-            self.t2.append(page)
-            self.ref[page] = 0
-            history_hit = "B1"
         else:
-            self.adapt("B2")
-            del self.b2[page]
+            # ghost hit: adapt while the page is still in its ghost list,
+            # then admit it to T2
+            self.adapt(history_hit)
+            del (self.b1 if history_hit == "B1" else self.b2)[page]
             self.t2.append(page)
-            self.ref[page] = 0
-            history_hit = "B2"
+        self.ref[page] = 0
         return AccessOutcome(
             was_hit=False,
             evicted_cache_page=moved,

@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analysis import ADAPT_UNIT, partition_phases, run_checks
+from .analysis import ADAPT_UNIT, run_checks
 from .core import RESERVED_TOKEN_CHARS
 from .opt import belady_run
 
@@ -19,10 +19,10 @@ class TraceParseError(ValueError):
 
 def parse_trace(data):
     """Tokens of a trace file: whitespace separated, '#' lines are
-    comments, blank lines are skipped. Accepts bytes or str; invalid
-    UTF-8 raises TraceParseError naming the byte offset, and a token
-    containing one of RESERVED_TOKEN_CHARS raises it naming the token
-    and its line."""
+    comments, blank lines are skipped. Accepts bytes or str, and drops
+    one leading byte order mark; invalid UTF-8 raises TraceParseError
+    naming the byte offset, and a token containing one of
+    RESERVED_TOKEN_CHARS raises it naming the token and its line."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -32,6 +32,8 @@ def parse_trace(data):
             ) from exc
     else:
         text = data
+    # decoded as plain utf-8, not utf-8-sig, so error offsets count the mark
+    text = text.removeprefix("\ufeff")
     # comments may hold reserved characters; scan tokens only if the text does
     check_reserved = any(c in text for c in RESERVED_TOKEN_CHARS)
     tokens = []
@@ -138,7 +140,7 @@ def run_simulation(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
         hit_ratio=Fraction(hits, total) if total else None,
         opt_misses=opt_misses,
         miss_to_opt_ratio=Fraction(misses, opt_misses) if opt_misses else None,
-        complete_phases=len([p for p in partition_phases(miss_flags, capacity) if p.complete]),
+        complete_phases=misses // capacity,  # a phase closes on every capacity-th miss
         violations=violations,
         hard_failure=hard,
     )

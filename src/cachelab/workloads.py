@@ -138,8 +138,9 @@ def parse_workload(text, default_seed=0):
 
     Example: "zipf:universe=100,alpha=0.8,length=1000,seed=42". A missing
     seed falls back to default_seed; other fields are required. A
-    negative length, a size field (length, universe, k, hot, scan) above
-    MAX_WORKLOAD_SIZE or a non-finite alpha raises ValueError.
+    repeated key, a negative length, a size field (length, universe, k,
+    hot, scan) above MAX_WORKLOAD_SIZE or a non-finite alpha raises
+    ValueError.
     """
     kind, _, rest = text.partition(":")
     kind = kind.strip()
@@ -156,6 +157,8 @@ def parse_workload(text, default_seed=0):
             key = key.strip()
             if not eq or key not in fields:
                 raise ValueError("bad workload parameter %r for kind %r" % (part, kind))
+            if key in params:
+                raise ValueError("workload parameter %r is given more than once" % key)
             params[key] = fields[key](value.strip())
     if "seed" in fields and "seed" not in params:
         params["seed"] = default_seed

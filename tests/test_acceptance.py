@@ -282,9 +282,8 @@ def test_criterion_08_arc_eviction_audit(step_suite_results):
             phi_before=0, phi_after_opt=0, phi_after_alg=0,
             digest="d", opt_cache=frozenset(), cache_full_before=True,
             outcome=AccessOutcome(was_hit=False),
-            prefixes_start=PrefixSizes(0, 0, 0, 0, 0, 0),
-            prefixes_end=PrefixSizes(0, 0, 0, 0, 0, 0),
-            sizes_start=(0, 0, 0, 0),
+            audit_opt=(PrefixSizes(0, 0, 0, 0, 0, 0), (0, 0, 0, 0)),
+            audit_alg=(PrefixSizes(0, 0, 0, 0, 0, 0), (0, 0, 0, 0)),
         )
         base.update(overrides)
         return LockstepEntry(**base)
@@ -296,24 +295,21 @@ def test_criterion_08_arc_eviction_audit(step_suite_results):
 
     planted_ok = (
         fires("directory_miss_prefix_bound",
-              entry(prefixes_start=PrefixSizes(1, 1, 0, 0, 1, 1), sizes_start=(1, 1, 0, 0)))
+              entry(audit_opt=(PrefixSizes(1, 1, 0, 0, 1, 1), (1, 1, 0, 0))))
         and fires("demotion_prefix_consistency",
                   entry(outcome=AccessOutcome(False, evicted_cache_page="v",
                                               replace_dest="B1", history_hit="B1"),
-                        prefixes_start=PrefixSizes(1, 0, 0, 0, 1, 0),
-                        prefixes_end=PrefixSizes(1, 0, 1, 0, 2, 0),
-                        sizes_start=(2, 0, 1, 0)))
+                        audit_opt=(PrefixSizes(1, 0, 0, 0, 1, 0), (2, 0, 1, 0)),
+                        audit_alg=(PrefixSizes(1, 0, 1, 0, 2, 0), (0, 0, 0, 0))))
         and fires("eviction_outside_prefix",
                   entry(outcome=AccessOutcome(False, evicted_history_page="g",
                                               history_evicted_from="B1"),
-                        prefixes_start=PrefixSizes(1, 0, 1, 0, 2, 0),
-                        sizes_start=(1, 2, 1, 0)),
+                        audit_opt=(PrefixSizes(1, 0, 1, 0, 2, 0), (1, 2, 1, 0))),
                   capacity=3)
         and fires("protected_list_demotion",
                   entry(outcome=AccessOutcome(False, evicted_cache_page="v",
                                               replace_dest="B2", history_hit="B2"),
-                        prefixes_start=PrefixSizes(1, 1, 0, 0, 1, 1),
-                        sizes_start=(1, 1, 0, 0)))
+                        audit_opt=(PrefixSizes(1, 1, 0, 0, 1, 1), (1, 1, 0, 0))))
     )
     ok = violations == 0 and planted_ok
     report_line(8, ok, "audit violations=%d over %d traces; planted checks fire=%s"

@@ -233,9 +233,8 @@ def _arc_entry(**overrides):
         digest="ARC p=0 T1=[] T2=[] B1=[] B2=[]",
         opt_cache=frozenset(), cache_full_before=True,
         outcome=AccessOutcome(was_hit=False),
-        prefixes_start=PrefixSizes(0, 0, 0, 0, 0, 0),
-        prefixes_end=PrefixSizes(0, 0, 0, 0, 0, 0),
-        sizes_start=(0, 0, 0, 0),
+        audit_opt=(PrefixSizes(0, 0, 0, 0, 0, 0), (0, 0, 0, 0)),
+        audit_alg=(PrefixSizes(0, 0, 0, 0, 0, 0), (0, 0, 0, 0)),
     )
     base.update(overrides)
     return LockstepEntry(**base)
@@ -253,8 +252,7 @@ class TestArcEvictionAudit:
             assert check_arc_eviction_audit(run_lockstep(trace, 3, "arc")).ok
 
     def test_planted_directory_miss_prefix_violation(self):
-        entry = _arc_entry(prefixes_start=PrefixSizes(1, 1, 0, 0, 1, 1),
-                           sizes_start=(1, 1, 0, 0))
+        entry = _arc_entry(audit_opt=(PrefixSizes(1, 1, 0, 0, 1, 1), (1, 1, 0, 0)))
         report = check_arc_eviction_audit(self._log_with(entry))
         assert {v.check for v in report.violations} == {"directory_miss_prefix_bound"}
 
@@ -262,9 +260,8 @@ class TestArcEvictionAudit:
         entry = _arc_entry(
             outcome=AccessOutcome(was_hit=False, evicted_cache_page="v",
                                   replace_dest="B1", history_hit="B1"),
-            prefixes_start=PrefixSizes(1, 0, 0, 0, 1, 0),
-            prefixes_end=PrefixSizes(1, 0, 1, 0, 2, 0),
-            sizes_start=(2, 0, 1, 0),
+            audit_opt=(PrefixSizes(1, 0, 0, 0, 1, 0), (2, 0, 1, 0)),
+            audit_alg=(PrefixSizes(1, 0, 1, 0, 2, 0), (0, 0, 0, 0)),
         )
         report = check_arc_eviction_audit(self._log_with(entry))
         assert {v.check for v in report.violations} == {"demotion_prefix_consistency"}
@@ -273,8 +270,7 @@ class TestArcEvictionAudit:
         entry = _arc_entry(
             outcome=AccessOutcome(was_hit=False, evicted_history_page="g",
                                   history_evicted_from="B1"),
-            prefixes_start=PrefixSizes(1, 0, 1, 0, 2, 0),
-            sizes_start=(1, 2, 1, 0),
+            audit_opt=(PrefixSizes(1, 0, 1, 0, 2, 0), (1, 2, 1, 0)),
         )
         report = check_arc_eviction_audit(self._log_with(entry, capacity=3))
         assert {v.check for v in report.violations} == {"eviction_outside_prefix"}
@@ -283,18 +279,17 @@ class TestArcEvictionAudit:
         entry = _arc_entry(
             outcome=AccessOutcome(was_hit=False, evicted_cache_page="v",
                                   replace_dest="B2", history_hit="B2"),
-            prefixes_start=PrefixSizes(1, 1, 0, 0, 1, 1),
-            prefixes_end=PrefixSizes(1, 0, 0, 1, 1, 1),
-            sizes_start=(1, 1, 0, 0),
+            audit_opt=(PrefixSizes(1, 1, 0, 0, 1, 1), (1, 1, 0, 0)),
+            audit_alg=(PrefixSizes(1, 0, 0, 1, 1, 1), (0, 0, 0, 0)),
         )
         report = check_arc_eviction_audit(self._log_with(entry))
         assert "protected_list_demotion" in {v.check for v in report.violations}
 
     def test_hits_and_warmup_are_skipped(self):
         hit = _arc_entry(c_alg=0, outcome=AccessOutcome(was_hit=True),
-                         prefixes_start=PrefixSizes(1, 1, 0, 0, 1, 1))
+                         audit_opt=(PrefixSizes(1, 1, 0, 0, 1, 1), (0, 0, 0, 0)))
         warm = _arc_entry(cache_full_before=False,
-                          prefixes_start=PrefixSizes(1, 1, 0, 0, 1, 1))
+                          audit_opt=(PrefixSizes(1, 1, 0, 0, 1, 1), (0, 0, 0, 0)))
         for entry in (hit, warm):
             assert check_arc_eviction_audit(self._log_with(entry)).ok
 
@@ -407,14 +402,9 @@ def reference_potential(policy, opt_cache):
 
 
 def reference_value(policy, opt_cache):
-    """(phi, prefixes, ARC list sizes, car_sum_r) from the from-scratch
-    potential and the live policy."""
+    """(phi, audit) from the from-scratch potential."""
     breakdown = reference_potential(policy, opt_cache)
-    sizes = None
-    if isinstance(policy, ArcCache):
-        sizes = (len(policy.t1), len(policy.t2), len(policy.b1), len(policy.b2))
-    sum_r = breakdown.term("sum_r") if isinstance(policy, CarCache) else None
-    return breakdown.phi, breakdown.prefixes, sizes, sum_r
+    return breakdown.phi, breakdown.audit
 
 
 def tracked_replay(trace, capacity, name, adaptation="unit"):
@@ -444,21 +434,14 @@ def reference_lockstep(trace, capacity, name, adaptation="unit"):
     for i, (page, step) in enumerate(zip(trace, belady_run(trace, capacity).steps)):
         full_before = policy.is_full
         after_opt = reference_potential(policy, step.cache_after)
-        sizes_start = None
-        if name == "arc":
-            sizes_start = (len(policy.t1), len(policy.t2), len(policy.b1), len(policy.b2))
         outcome = policy.request(page)
         after_alg = reference_potential(policy, step.cache_after)
-        car = name == "car"
         entries.append(LockstepEntry(
             index=i, page=page, c_opt=0 if step.was_hit else 1,
             c_alg=0 if outcome.was_hit else 1, phi_before=phi_before,
             phi_after_opt=after_opt.phi, phi_after_alg=after_alg.phi, digest=policy.digest(),
             opt_cache=step.cache_after, cache_full_before=full_before, outcome=outcome,
-            prefixes_start=after_opt.prefixes, prefixes_end=after_alg.prefixes,
-            sizes_start=sizes_start,
-            car_sum_r_opt=after_opt.term("sum_r") if car else None,
-            car_sum_r_alg=after_alg.term("sum_r") if car else None,
+            audit_opt=after_opt.audit, audit_alg=after_alg.audit,
         ))
         phi_before = after_alg.phi
     return entries
@@ -674,9 +657,9 @@ def inflate_car_potential(monkeypatch):
     original = analysis._CarTracker.value
 
     def inflated(tracker):
-        phi, prefixes, sizes, sum_r = original(tracker)
+        phi, sum_r = original(tracker)
         extra = 100 * len(tracker.opt_cache) + 50 * len(tracker.policy.b1)
-        return phi + extra, prefixes, sizes, sum_r + extra
+        return phi + extra, sum_r + extra
 
     monkeypatch.setattr(analysis._CarTracker, "value", inflated)
 
@@ -937,3 +920,46 @@ class TestPolicyTable:
         result, hard = verify_trace("lru2", 4, trace)
         assert (result, hard) == (dict(verify_trace("lru", 4, trace)[0], policy="lru2"), False)
         assert result["checks"]["aggregate"]["bound_multiplier"] == 1
+
+    def test_an_added_rows_audit_reaches_its_lemma_check(self, monkeypatch):
+        class CountedLru(LruCache):
+            kind = "COUNTED"
+
+        class MissCounter(analysis._Tracker):
+            """Zero potential; the audit is the policy's misses so far."""
+
+            def __init__(self, policy):
+                super().__init__(policy)
+                self.misses = 0
+
+            def alg_step(self, page, outcome):
+                self.misses += not outcome.was_hit
+
+            def value(self):
+                return 0, self.misses
+
+        def counted_miss(entry, spec, n):
+            if entry.audit_alg > entry.audit_opt:
+                return (("ALG", "counted_miss", entry.audit_alg, entry.audit_opt),)
+            return ()
+
+        row = dataclasses.replace(analysis.POLICY_TABLE[0], name="counted", cls=CountedLru,
+                                  tracker=MissCounter, lemma_checks=(counted_miss,))
+        monkeypatch.setattr(analysis, "POLICY_TABLE", analysis.POLICY_TABLE + (row,))
+        trace = gen_zipf(20, 0.8, 400, seed=3)
+        miss_at = [i for i, miss in enumerate(analysis.run_checks(trace, 4, "lru").miss_flags)
+                   if miss]
+        want = [(i, k + 1, k) for k, i in enumerate(miss_at)]
+
+        run = analysis.run_checks(trace, 4, "counted", checks=("lemmas",))
+        assert [(v.index, v.lhs, v.rhs) for v in run.eviction_audit.violations] == want
+        assert run.hard_failure
+        result, hard = verify_trace("counted", 4, trace)
+        listing = result["checks"]["eviction_audit"]
+        assert hard and listing["violation_count"] == len(want)
+        assert ([(v["index"], v["lhs"], v["rhs"]) for v in listing["violations"]]
+                == [(i, str(lhs), str(rhs)) for i, lhs, rhs in want])
+        log = run_lockstep(trace, 4, "counted")
+        assert [(e.index, *f[2:]) for e in log.entries for f in counted_miss(e, row, 4)] == want
+        assert [(e.audit_opt, e.audit_alg) for e in log.entries if e.c_alg] == [
+            (k, k + 1) for k in range(len(miss_at))]

@@ -165,6 +165,27 @@ def test_non_finite_alpha_exits_two(capsys, alpha):
     assert "alpha must be finite" in err
 
 
+def test_repeated_workload_key_exits_two(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--policy", "lru", "--cache-size", "2",
+                             "--workload", "cycle:k=3,length=5,k=4")
+    assert code == 2
+    assert out == ""
+    assert "'k' is given more than once" in err
+
+
+def test_byte_order_mark_leaves_the_report_alone(tmp_path, capsys):
+    path = tmp_path / "trace.txt"
+    reports = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + b"1 2 1 2\n")
+        code, out, _ = run_cli(capsys, "simulate", "--policy", "lru", "--cache-size", "2",
+                               "--trace", str(path), "--format", "json")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[1] == reports[0]
+    assert reports[1]["misses"] == 2
+
+
 def test_negative_length_exits_two(capsys):
     code, out, err = run_cli(capsys, "compare", "--cache-size", "4",
                              "--workload", "zipf:universe=10,alpha=0.9,length=-5,seed=1")

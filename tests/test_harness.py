@@ -31,6 +31,17 @@ class TestParseTrace:
         with pytest.raises(TraceParseError, match="byte offset 2"):
             parse_trace(b"ab\xff cd")
 
+    @pytest.mark.parametrize("data", ["\ufeff1 2\n3", b"\xef\xbb\xbf1 2\n3"])
+    def test_leading_byte_order_mark_dropped(self, data):
+        assert parse_trace(data) == ["1", "2", "3"]
+
+    def test_only_one_leading_byte_order_mark_dropped(self):
+        assert parse_trace("\ufeff\ufeff1 \ufeff2") == ["\ufeff1", "\ufeff2"]
+
+    def test_invalid_utf8_offset_counts_the_byte_order_mark(self):
+        with pytest.raises(TraceParseError, match="byte offset 5"):
+            parse_trace(b"\xef\xbb\xbf1 \xff")
+
     def test_format_round_trip(self):
         trace = gen_fuzz(9, 50, seed=1)
         assert parse_trace(format_trace(trace)) == [str(p) for p in trace]

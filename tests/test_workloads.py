@@ -119,6 +119,12 @@ class TestParseWorkload:
         with pytest.raises(ValueError):
             parse_workload("fuzz:universe=8,length=10,bogus=1")
 
+    @pytest.mark.parametrize("text,key", [("cycle:k=3,length=5,k=4", "k"),
+                                          ("fuzz:universe=8,length=5,seed=1,seed=1", "seed")])
+    def test_repeated_key_rejected(self, text, key):
+        with pytest.raises(ValueError, match="parameter '%s' is given more than once" % key):
+            parse_workload(text)
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must be finite"):
