@@ -20,7 +20,7 @@ accounting close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .arc import ADAPT_RATIO, ADAPT_UNIT, ArcCache
 from .car import CarCache
@@ -33,14 +33,10 @@ from .opt import belady_run
 # phases
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(namedtuple("Phase", "start end faults complete")):
     """Contiguous request range [start, end] holding `faults` misses."""
 
-    start: int
-    end: int
-    faults: int
-    complete: bool
+    __slots__ = ()
 
 
 def partition_phases(miss_flags, capacity):
@@ -70,8 +66,7 @@ def partition_phases(miss_flags, capacity):
 # potentials
 
 
-@dataclass(frozen=True)
-class PrefixSizes:
+class PrefixSizes(namedtuple("PrefixSizes", "t1 t2 b1 b2 l1 l2")):
     """Sizes of the longest MRU prefixes wholly inside the oracle cache.
 
     t1/t2 are the prefixes of the cache lists, l1/l2 of the concatenated
@@ -79,12 +74,7 @@ class PrefixSizes:
     ghost lists (nonzero only when the whole cache list is covered).
     """
 
-    t1: int
-    t2: int
-    b1: int
-    b2: int
-    l1: int
-    l2: int
+    __slots__ = ()
 
 
 def _prefix_len(pages, opt_cache):
@@ -107,13 +97,11 @@ def mru_prefix_sizes(arc, opt_cache):
     return PrefixSizes(t1=t1p, t2=t2p, b1=l1 - t1p, b2=l2 - t2p, l1=l1, l2=l2)
 
 
-@dataclass(frozen=True)
-class PotentialBreakdown:
-    """A potential value, its named additive terms (phi == sum) and its audit."""
+class PotentialBreakdown(namedtuple("PotentialBreakdown", "phi terms audit", defaults=(None,))):
+    """A potential value, its named additive terms ((name, value) pairs,
+    phi == sum) and its audit."""
 
-    phi: int
-    terms: tuple  # (name, value) pairs
-    audit: object = None
+    __slots__ = ()
 
     def term(self, name):
         for key, value in self.terms:
@@ -481,29 +469,26 @@ def potential_tracker(policy):
 # lockstep replay
 
 
-@dataclass
-class LockstepEntry:
-    index: int
-    page: object
-    c_opt: int
-    c_alg: int
-    phi_before: int
-    phi_after_opt: int
-    phi_after_alg: int
-    digest: str | None  # the policy digest after the request, where one was rendered
-    opt_cache: frozenset
-    cache_full_before: bool
-    outcome: object
-    audit_opt: object = None  # the tracker's audit after the OPT half-step
-    audit_alg: object = None  # ... and after the policy half-step
+# One request of a lockstep replay. digest is the policy digest after the
+# request, where one was rendered; audit_opt is the tracker's audit after
+# the OPT half-step and audit_alg after the policy half-step.
+LockstepEntry = namedtuple(
+    "LockstepEntry",
+    "index page c_opt c_alg phi_before phi_after_opt phi_after_alg digest opt_cache "
+    "cache_full_before outcome audit_opt audit_alg",
+    defaults=(None, None),
+)
 
 
-@dataclass
-class LockstepLog:
-    policy_kind: str
-    adaptation: str | None
-    capacity: int
-    entries: list = field(default_factory=list)
+class LockstepLog(namedtuple("LockstepLog", "policy_kind adaptation capacity entries")):
+    """Every entry of one lockstep replay; entries is a fresh list unless
+    one is given."""
+
+    __slots__ = ()
+
+    def __new__(cls, policy_kind, adaptation, capacity, entries=None):
+        return super().__new__(cls, policy_kind, adaptation, capacity,
+                               [] if entries is None else entries)
 
     @property
     def c_alg_total(self):
@@ -519,15 +504,16 @@ def make_policy(name, capacity, adaptation=ADAPT_UNIT):
     return _spec_named(name, adaptation).make(capacity)
 
 
-def _lockstep_entries(trace, policy):
+def _lockstep_entries(trace, policy, digests=False):
     """Serve a trace with the oracle moving first on every request.
 
     Yields one LockstepEntry per request as soon as the policy has served
     it, so the live policy is in the state the entry describes. An entry
     records the costs, the potential before the request / after the
     oracle half-step / after the policy half-step, and the tracker's
-    audit after each half-step; its digest is left None. The potentials come
-    from potential_tracker and equal those of potential_for.
+    audit after each half-step; its digest is the policy digest after the
+    request when digests is set, else None. The potentials come from
+    potential_tracker and equal those of potential_for.
     """
     tracker = potential_tracker(policy)
     after_alg = tracker.value()
@@ -547,8 +533,8 @@ def _lockstep_entries(trace, policy):
         # policy before its step: the oracle half-step leaves it alone.
         yield LockstepEntry(
             i, page, 0 if step.was_hit else 1, 0 if outcome.was_hit else 1,
-            phi_before, after_opt[0], after_alg[0], None, step.cache_after, full_before,
-            outcome, after_opt[1], after_alg[1],
+            phi_before, after_opt[0], after_alg[0], policy.digest() if digests else None,
+            step.cache_after, full_before, outcome, after_opt[1], after_alg[1],
         )
 
 
@@ -558,27 +544,18 @@ def run_lockstep(trace, capacity, policy_name, adaptation=ADAPT_UNIT):
     log the log-based checkers below read."""
     check_page_tokens(trace)
     policy = make_policy(policy_name, capacity, adaptation)
-    log = LockstepLog(policy_kind=policy.kind, adaptation=policy.adaptation, capacity=capacity)
-    for entry in _lockstep_entries(trace, policy):
-        entry.digest = policy.digest()
-        log.entries.append(entry)
-    return log
+    return LockstepLog(policy.kind, policy.adaptation, capacity,
+                       list(_lockstep_entries(trace, policy, digests=True)))
 
 
 # ---------------------------------------------------------------------------
 # violation reporting
 
 
-@dataclass(frozen=True)
-class Violation:
-    index: int
-    step: str  # "OPT" or "ALG"
-    check: str
-    lhs: object
-    rhs: object
-    page: object
-    digest: str
-    opt_cache: tuple
+class Violation(namedtuple("Violation", "index step check lhs rhs page digest opt_cache")):
+    """One finding; step is "OPT", "ALG" or "STATE"."""
+
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -593,9 +570,14 @@ class Violation:
         }
 
 
-@dataclass
-class ViolationReport:
-    violations: list = field(default_factory=list)
+class ViolationReport(namedtuple("ViolationReport", "violations")):
+    """The findings of one check; violations is a fresh list unless one is
+    given."""
+
+    __slots__ = ()
+
+    def __new__(cls, violations=None):
+        return super().__new__(cls, [] if violations is None else violations)
 
     @property
     def ok(self):
@@ -740,39 +722,37 @@ def check_arc_eviction_audit(log):
 # ARC / CAR structural invariants
 
 
-def _state_violations(policy):
-    """An empty report and a function that adds a STATE violation to it,
-    carrying the policy digest (rendered only when a check fires)."""
-    report = ViolationReport()
+# a clean structural check's report, shared: its empty tuple of violations
+# cannot be appended to
+_NO_VIOLATIONS = ViolationReport(())
 
-    def bad(check, lhs, rhs):
-        report.violations.append(Violation(index=-1, step="STATE", check=check, lhs=lhs,
-                                           rhs=rhs, page=None, digest=policy.digest(),
-                                           opt_cache=()))
 
-    return report, bad
+def _state_report(policy, findings):
+    """The STATE report of a structural check. findings holds a (check,
+    lhs, rhs) triple per check that fired and a false value per check that
+    held; the policy digest is rendered once, and only if one fired."""
+    if not any(findings):
+        return _NO_VIOLATIONS
+    digest = policy.digest()
+    return ViolationReport([Violation(-1, "STATE", check, lhs, rhs, None, digest, ())
+                            for check, lhs, rhs in filter(None, findings)])
 
 
 def check_arc_structure(arc, was_full=None):
     """Structural audit of an ARC state: disjoint lists, size caps, and
     (given the previous fullness flag) monotone fullness."""
-    report, bad = _state_violations(arc)
     n = arc.capacity
     t1, t2, b1, b2 = len(arc.t1), len(arc.t2), len(arc.b1), len(arc.b2)
     distinct = len(set().union(arc.t1, arc.t2, arc.b1, arc.b2))
-    if distinct != t1 + t2 + b1 + b2:
-        bad("lists_disjoint", t1 + t2 + b1 + b2, distinct)
-    if not 0 <= t1 + t2 <= n:
-        bad("size_bound_cache", t1 + t2, n)
-    if not 0 <= t1 + b1 <= n:
-        bad("size_bound_l1", t1 + b1, n)
-    if not 0 <= t1 + t2 + b1 + b2 <= 2 * n:
-        bad("size_bound_directory", t1 + t2 + b1 + b2, 2 * n)
-    if not 0 <= arc.p <= n:
-        bad("target_range", arc.p, n)
-    if was_full and t1 + t2 < n:
-        bad("fullness_monotone", t1 + t2, n)
-    return report
+    return _state_report(arc, (
+        distinct != t1 + t2 + b1 + b2 and ("lists_disjoint", t1 + t2 + b1 + b2, distinct),
+        not 0 <= t1 + t2 <= n and ("size_bound_cache", t1 + t2, n),
+        not 0 <= t1 + b1 <= n and ("size_bound_l1", t1 + b1, n),
+        not 0 <= t1 + t2 + b1 + b2 <= 2 * n
+        and ("size_bound_directory", t1 + t2 + b1 + b2, 2 * n),
+        not 0 <= arc.p <= n and ("target_range", arc.p, n),
+        was_full and t1 + t2 < n and ("fullness_monotone", t1 + t2, n),
+    ))
 
 
 def check_car_invariants(car, was_full=None):
@@ -782,24 +762,18 @@ def check_car_invariants(car, was_full=None):
     cache stays full) needs the previous request's fullness, passed as
     was_full. Pass None to skip it.
     """
-    report, bad = _state_violations(car)
     n = car.capacity
     t1, t2, b1, b2 = len(car.t1), len(car.t2), len(car.b1), len(car.b2)
-    if not 0 <= t1 + t2 <= n:
-        bad("size_bound_cache", t1 + t2, n)
-    if not 0 <= t1 + b1 <= n:
-        bad("size_bound_l1", t1 + b1, n)
-    if not 0 <= t2 + b2 <= 2 * n:
-        bad("size_bound_l2", t2 + b2, 2 * n)
-    if not 0 <= t1 + t2 + b1 + b2 <= 2 * n:
-        bad("size_bound_directory", t1 + t2 + b1 + b2, 2 * n)
-    if t1 + t2 < n and b1 + b2 != 0:
-        bad("history_empty_until_full", b1 + b2, 0)
-    if t1 + t2 + b1 + b2 >= n and t1 + t2 != n:
-        bad("full_once_directory_large", t1 + t2, n)
-    if was_full and t1 + t2 < n:
-        bad("fullness_monotone", t1 + t2, n)
-    return report
+    return _state_report(car, (
+        not 0 <= t1 + t2 <= n and ("size_bound_cache", t1 + t2, n),
+        not 0 <= t1 + b1 <= n and ("size_bound_l1", t1 + b1, n),
+        not 0 <= t2 + b2 <= 2 * n and ("size_bound_l2", t2 + b2, 2 * n),
+        not 0 <= t1 + t2 + b1 + b2 <= 2 * n
+        and ("size_bound_directory", t1 + t2 + b1 + b2, 2 * n),
+        t1 + t2 < n and b1 + b2 != 0 and ("history_empty_until_full", b1 + b2, 0),
+        t1 + t2 + b1 + b2 >= n and t1 + t2 != n and ("full_once_directory_large", t1 + t2, n),
+        was_full and t1 + t2 < n and ("fullness_monotone", t1 + t2, n),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -839,8 +813,10 @@ def car_step_report(log):
 # the policy table
 
 
-@dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(namedtuple(
+        "PolicySpec",
+        "name adaptation cls bound potential tracker structural step_checks lemma_checks "
+        "step_gated step_asserted")):
     """One policy variant and every fact its checks need.
 
     name and adaptation select the row; a row whose adaptation is None
@@ -858,17 +834,7 @@ class PolicySpec:
     reports.
     """
 
-    name: str
-    adaptation: str | None
-    cls: type
-    bound: int | None
-    potential: object
-    tracker: type
-    structural: object
-    step_checks: tuple
-    lemma_checks: tuple
-    step_gated: bool
-    step_asserted: bool
+    __slots__ = ()
 
     def make(self, capacity):
         if self.adaptation is None:
@@ -918,22 +884,16 @@ def _spec_for(kind, adaptation):
 ALL_CHECKS = ("invariants", "potential", "lemmas")
 
 
-@dataclass
-class Verification:
+class Verification(namedtuple(
+        "Verification",
+        "spec miss_flags opt_misses final_potential step step_asserted eviction_audit "
+        "aggregate_holds state")):
     """What one run found, for the policy row spec. A report is None, and
     so is aggregate_holds, when its check was not requested or does not
     apply to the policy; opt_misses is None when no check needed the
-    oracle."""
+    oracle. step_asserted is False for CAR's report-only step findings."""
 
-    spec: PolicySpec
-    miss_flags: bytearray
-    opt_misses: int | None
-    final_potential: int
-    step: ViolationReport | None
-    step_asserted: bool  # False for CAR's report-only step findings
-    eviction_audit: ViolationReport | None
-    aggregate_holds: bool | None
-    state: ViolationReport | None
+    __slots__ = ()
 
     @property
     def hard_failure(self):
@@ -962,7 +922,7 @@ def _audit_state(structural, policy, index, was_full, state):
     """Add the structural checker's findings on the live policy after
     request index to state; returns the fullness flag for the next one."""
     for v in structural(policy, was_full).violations:
-        state.violations.append(replace(v, index=index))
+        state.violations.append(v._replace(index=index))
     return was_full or policy.is_full
 
 

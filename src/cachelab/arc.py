@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .core import AccessOutcome, Policy, render_pages
+from .core import HIT, AccessOutcome, Policy, render_pages
 
 ADAPT_UNIT = "unit"
 ADAPT_RATIO = "ratio"
@@ -125,7 +125,7 @@ class ArcCache(Policy):
             else:
                 del self.t2[page]
             self.t2[page] = True
-            return AccessOutcome(was_hit=True)
+            return HIT
 
         hit_list = "B1" if page in self.b1 else "B2" if page in self.b2 else None
         if hit_list is not None:

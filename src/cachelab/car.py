@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 
-from .core import AccessOutcome, Policy, render_pages
+from .core import HIT, AccessOutcome, Policy, render_pages
 
 
 class CarCache(Policy):
@@ -116,7 +116,7 @@ class CarCache(Policy):
     def request(self, page):
         if page in self.ref:
             self.ref[page] = 1
-            return AccessOutcome(was_hit=True)
+            return HIT
 
         old_p = self.p
         history_hit = "B1" if page in self.b1 else "B2" if page in self.b2 else None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 
-from .core import AccessOutcome, Policy, render_pages
+from .core import HIT, AccessOutcome, Policy, render_pages
 
 
 class LruCache(Policy):
@@ -20,7 +20,7 @@ class LruCache(Policy):
     def request(self, page):
         if page in self.queue:
             self.queue.move_to_end(page)
-            return AccessOutcome(was_hit=True)
+            return HIT
         evicted = None
         if len(self.queue) == self.capacity:
             evicted, _ = self.queue.popitem(last=False)
@@ -58,7 +58,7 @@ class ClockCache(Policy):
     def request(self, page):
         if page in self.marked:
             self.marked[page] = True
-            return AccessOutcome(was_hit=True)
+            return HIT
         evicted = None
         swept = ()
         if len(self.ring) == self.capacity:

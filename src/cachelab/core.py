@@ -14,7 +14,7 @@ verification layer can audit each request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 # characters that policy digests use as syntax; a token holding one would
@@ -54,8 +54,11 @@ def render_pages(pages):
     return "[%s]" % ",".join(str(p) for p in pages)
 
 
-@dataclass
-class AccessOutcome:
+class AccessOutcome(namedtuple(
+        "AccessOutcome",
+        "was_hit evicted_cache_page evicted_history_page adaptation_delta replace_dest "
+        "history_evicted_from history_hit swept",
+        defaults=(None, None, 0, None, None, None, ()))):
     """What a single request did to a policy's state.
 
     evicted_cache_page lost its cache slot this request: it moved to the
@@ -69,14 +72,12 @@ class AccessOutcome:
     mark cleared and moved from the head of its ring to a tail.
     """
 
-    was_hit: bool
-    evicted_cache_page: object = None
-    evicted_history_page: object = None
-    adaptation_delta: int = 0
-    replace_dest: str | None = None
-    history_evicted_from: str | None = None
-    history_hit: str | None = None
-    swept: tuple = ()
+    __slots__ = ()
+
+
+# every hit of every policy: a hit only reorders or marks, so it has no
+# other field to report
+HIT = AccessOutcome(was_hit=True)
 
 
 class Policy:

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analysis import ADAPT_UNIT, run_checks
@@ -64,23 +62,26 @@ def _fraction_str(value):
     return "%d/%d" % (value.numerator, value.denominator)
 
 
-@dataclass
 class RunReport:
-    """Summary of one policy run over one trace."""
+    """Summary of one policy run over one trace. Mutable: compare fills in
+    opt_misses and miss_to_opt_ratio once the oracle has run."""
 
-    policy: str
-    adaptation: str | None
-    cache_size: int
-    trace: str
-    requests: int
-    hits: int
-    misses: int
-    hit_ratio: Fraction | None
-    opt_misses: int | None = None
-    miss_to_opt_ratio: Fraction | None = None
-    complete_phases: int | None = None
-    violations: dict = field(default_factory=dict)
-    hard_failure: bool = False
+    def __init__(self, policy, adaptation, cache_size, trace, requests, hits, misses,
+                 hit_ratio, opt_misses=None, miss_to_opt_ratio=None, complete_phases=None,
+                 violations=None, hard_failure=False):
+        self.policy = policy
+        self.adaptation = adaptation
+        self.cache_size = cache_size
+        self.trace = trace
+        self.requests = requests
+        self.hits = hits
+        self.misses = misses
+        self.hit_ratio = hit_ratio
+        self.opt_misses = opt_misses
+        self.miss_to_opt_ratio = miss_to_opt_ratio
+        self.complete_phases = complete_phases
+        self.violations = {} if violations is None else violations
+        self.hard_failure = hard_failure
 
     def to_dict(self):
         return {
@@ -219,6 +220,8 @@ def emit_report(reports, fmt="table"):
         payload = items[0].to_dict() if single else [r.to_dict() for r in items]
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if fmt == "csv":
+        import csv  # only this branch needs it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)

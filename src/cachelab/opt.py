@@ -11,29 +11,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import canonical_key
 
 
-@dataclass(frozen=True)
-class OptStep:
-    was_hit: bool
-    evicted: object
-    cache_after: frozenset
+OptStep = namedtuple("OptStep", "was_hit evicted cache_after")
 
 
-@dataclass
-class OptSchedule:
+class OptSchedule(namedtuple("OptSchedule", "capacity hits admitted evicted")):
     """The optimal run, stored compactly: one hit flag per request, and
     for each miss, in order, the page it admitted and the page it evicted
     (None while the cache was still filling). `steps` rebuilds the
     per-request OptStep records from these on demand."""
 
-    capacity: int
-    hits: bytes
-    admitted: tuple
-    evicted: tuple
+    __slots__ = ()
 
     @property
     def miss_count(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 _MASK64 = (1 << 64) - 1
 # largest length, universe, k, hot or scan a workload spec may ask for;
@@ -105,12 +105,11 @@ def gen_scan_mix(hot_set, scan_len, length, seed):
     return trace
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Parsed generator spec; a pure function of its fields."""
+class WorkloadSpec(namedtuple("WorkloadSpec", "kind params")):
+    """Parsed generator spec; a pure function of its fields. params holds
+    sorted (name, value) pairs."""
 
-    kind: str
-    params: tuple  # sorted (name, value) pairs
+    __slots__ = ()
 
     def descriptor(self):
         return "%s:%s" % (self.kind, ",".join("%s=%s" % kv for kv in self.params))
@@ -137,10 +136,11 @@ def parse_workload(text, default_seed=0):
     """Parse "kind:key=value,..." into a WorkloadSpec.
 
     Example: "zipf:universe=100,alpha=0.8,length=1000,seed=42". A missing
-    seed falls back to default_seed; other fields are required. A
-    repeated key, a negative length, a size field (length, universe, k,
-    hot, scan) above MAX_WORKLOAD_SIZE or a non-finite alpha raises
-    ValueError.
+    seed falls back to default_seed; other fields are required. A value
+    that does not parse as its field's type, a repeated key, a negative
+    length, a universe, k, hot or scan below 1, a size field (length,
+    universe, k, hot, scan) above MAX_WORKLOAD_SIZE or a non-finite alpha
+    raises ValueError naming the key.
     """
     kind, _, rest = text.partition(":")
     kind = kind.strip()
@@ -159,7 +159,11 @@ def parse_workload(text, default_seed=0):
                 raise ValueError("bad workload parameter %r for kind %r" % (part, kind))
             if key in params:
                 raise ValueError("workload parameter %r is given more than once" % key)
-            params[key] = fields[key](value.strip())
+            try:
+                params[key] = fields[key](value.strip())
+            except ValueError:
+                raise ValueError("workload %s parameter %r must parse as %s, got %r"
+                                 % (kind, key, fields[key].__name__, value.strip())) from None
     if "seed" in fields and "seed" not in params:
         params["seed"] = default_seed
     missing = sorted(set(fields) - set(params))
@@ -167,6 +171,9 @@ def parse_workload(text, default_seed=0):
         raise ValueError("workload %r is missing parameters: %s" % (kind, ", ".join(missing)))
     if params["length"] < 0:
         raise ValueError("workload length must be non-negative, got %d" % params["length"])
+    for name in ("universe", "k", "hot", "scan"):
+        if params.get(name, 1) < 1:
+            raise ValueError("workload %s must be at least 1, got %d" % (name, params[name]))
     for name in ("length", "universe", "k", "hot", "scan"):
         if params.get(name, 0) > MAX_WORKLOAD_SIZE:
             raise ValueError("workload %s must be at most %d, got %d"

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from collections import OrderedDict
 from fractions import Fraction
@@ -531,7 +530,7 @@ class TestCheckedPathUsesTrackers:
             monkeypatch.setattr(analysis, reference, unexpected)
         # the table rows hold the potentials themselves
         monkeypatch.setattr(analysis, "POLICY_TABLE", tuple(
-            dataclasses.replace(spec, potential=unexpected) for spec in analysis.POLICY_TABLE))
+            spec._replace(potential=unexpected) for spec in analysis.POLICY_TABLE))
         trace = gen_zipf(20, 0.8, 600, seed=21)
         result, _ = verify_trace(name, 4, trace)
         assert result["opt_misses"] > 0
@@ -911,7 +910,7 @@ class TestPolicyTable:
     def test_an_added_row_needs_no_other_edit(self, monkeypatch):
         lru = analysis.POLICY_TABLE[0]
         monkeypatch.setattr(analysis, "POLICY_TABLE",
-                            analysis.POLICY_TABLE + (dataclasses.replace(lru, name="lru2"),))
+                            analysis.POLICY_TABLE + (lru._replace(name="lru2"),))
         trace = gen_zipf(20, 0.8, 400, seed=3)
         for checks in [()] + CHECK_SETS:
             got = run_simulation("lru2", 4, trace, checks=checks).to_dict()
@@ -943,8 +942,8 @@ class TestPolicyTable:
                 return (("ALG", "counted_miss", entry.audit_alg, entry.audit_opt),)
             return ()
 
-        row = dataclasses.replace(analysis.POLICY_TABLE[0], name="counted", cls=CountedLru,
-                                  tracker=MissCounter, lemma_checks=(counted_miss,))
+        row = analysis.POLICY_TABLE[0]._replace(name="counted", cls=CountedLru,
+                                                tracker=MissCounter, lemma_checks=(counted_miss,))
         monkeypatch.setattr(analysis, "POLICY_TABLE", analysis.POLICY_TABLE + (row,))
         trace = gen_zipf(20, 0.8, 400, seed=3)
         miss_at = [i for i, miss in enumerate(analysis.run_checks(trace, 4, "lru").miss_flags)

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import sys
@@ -173,6 +172,20 @@ def test_repeated_workload_key_exits_two(capsys):
     assert "'k' is given more than once" in err
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("cycle:k=3,length=", "workload cycle parameter 'length' must parse as int, got ''"),
+    ("zipf:universe=10,alpha=x,length=20,seed=1",
+     "workload zipf parameter 'alpha' must parse as float, got 'x'"),
+    ("scan_mix:hot=0,scan=0,length=5,seed=1", "workload hot must be at least 1, got 0"),
+    ("scan_mix:hot=4,scan=0,length=5,seed=1", "workload scan must be at least 1, got 0"),
+])
+def test_bad_workload_value_names_its_key(capsys, spec, message):
+    code, out, err = run_cli(capsys, "gen-trace", "--workload", spec)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_byte_order_mark_leaves_the_report_alone(tmp_path, capsys):
     path = tmp_path / "trace.txt"
     reports = []
@@ -246,7 +259,7 @@ def test_an_added_row_reaches_the_cli(capsys, monkeypatch):
     lru = analysis.POLICY_TABLE[0]
     before = compare_rows(capsys)
     monkeypatch.setattr(analysis, "POLICY_TABLE",
-                        analysis.POLICY_TABLE + (dataclasses.replace(lru, name="lru2"),))
+                        analysis.POLICY_TABLE + (lru._replace(name="lru2"),))
     assert "lru2" in subcommand_choices("simulate", "--policy")
     assert "lru2" in subcommand_choices("verify", "--policy")
     after = compare_rows(capsys)

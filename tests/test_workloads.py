@@ -138,6 +138,31 @@ class TestParseWorkload:
         with pytest.raises(ValueError, match="length must be non-negative"):
             parse_workload(kind + ",length=-5")
 
+    @pytest.mark.parametrize("text,message", [
+        ("cycle:k=3,length=", "workload cycle parameter 'length' must parse as int, got ''"),
+        ("fuzz:universe=8,length=5,seed=1.5",
+         "workload fuzz parameter 'seed' must parse as int, got '1.5'"),
+        ("zipf:universe=10,alpha=x,length=5,seed=1",
+         "workload zipf parameter 'alpha' must parse as float, got 'x'"),
+    ])
+    def test_unparsable_value_names_its_key_and_type(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_workload(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field,spec", [
+        ("hot", "scan_mix:hot=0,scan=2,length=5,seed=1"),
+        ("scan", "scan_mix:hot=4,scan=0,length=5,seed=1"),
+        ("hot", "scan_mix:hot=0,scan=0,length=5,seed=1"),
+        ("k", "cycle:k=0,length=5"),
+        ("universe", "fuzz:universe=-1,length=5,seed=1"),
+        ("universe", "zipf:universe=0,alpha=0.9,length=5,seed=1"),
+    ])
+    def test_sizes_below_one_rejected_under_their_spec_key(self, field, spec):
+        with pytest.raises(ValueError) as exc:
+            parse_workload(spec)
+        assert str(exc.value).startswith("workload %s must be at least 1, got " % field)
+
     def test_zero_length_still_allowed(self):
         assert parse_workload("fuzz:universe=8,length=0,seed=1").generate() == []
 
