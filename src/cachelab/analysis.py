@@ -25,7 +25,7 @@ from collections import namedtuple
 from .arc import ADAPT_RATIO, ADAPT_UNIT, ArcCache
 from .car import CarCache
 from .classic import ClockCache, LruCache
-from .core import canonical_key, check_page_tokens
+from .core import canonical_key, check_capacity, check_page_tokens
 from .opt import belady_run
 
 
@@ -45,8 +45,7 @@ def partition_phases(miss_flags, capacity):
     A phase closes on the request carrying its capacity-th fault; whatever
     follows the last closed phase becomes a trailing incomplete phase.
     """
-    if capacity < 1:
-        raise ValueError("capacity must be at least 1, got %r" % (capacity,))
+    check_capacity(capacity)
     phases = []
     start = 0
     faults = 0
@@ -205,71 +204,32 @@ def potential_for(policy):
 #
 # The lockstep pass evaluates the potentials above through trackers that
 # follow the two things that move them: the oracle's (admitted, evicted)
-# pair on each of its misses, and the policy's AccessOutcome. A half-step
-# then costs O(pages the request touched) instead of a rescan of the
+# pair on each of its misses, and the policy's AccessOutcome. A policy
+# half-step then costs O(pages the request touched) and an oracle
+# half-step a walk to the two pages it moved, instead of a rescan of the
 # directory. Both half-steps rely on one fact: once the oracle has served
 # a request, the requested page is in its cache, so whatever the policy
 # does to that page leaves the potential alone.
 
 
-class _StampedRing:
-    """Position sums over a list that changes only by popleft and append.
+class _RankedList:
+    """Rank sums over one of a policy's ordered lists, ranked from its
+    oldest end: a clock ring (head = 1) or a history list (LRU = 1).
 
-    Appends are numbered 1, 2, ..., so the list always holds consecutive
-    numbers and a page's position (head = 1) is its number minus the
-    count of pops. Over the pages outside the oracle cache it keeps the
-    sum of their numbers, their count and how many are marked, which
-    gives their position sum in O(1).
+    The list, the policy's own deque or OrderedDict, gains pages at its
+    newest end, loses them at its oldest end and, on a ghost hit, from
+    the middle. Over the pages outside the oracle cache it keeps their
+    rank sum, their count and how many are marked. Appends are numbered
+    so that the pages newer than a removed one can be found; a rank is
+    counted by walking from the newest end.
     """
 
-    __slots__ = ("stamps", "appended", "popped", "stamp_sum", "outside", "marked")
-
-    def __init__(self):
-        self.stamps = {}
-        self.appended = self.popped = self.stamp_sum = self.outside = self.marked = 0
-
-    def append(self, page, outside):
-        self.appended += 1
-        self.stamps[page] = self.appended
-        if outside:
-            self.stamp_sum += self.appended
-            self.outside += 1
-
-    def popleft(self, page, outside, marked):
-        self.popped += 1
-        stamp = self.stamps.pop(page)
-        if outside:
-            self.stamp_sum -= stamp
-            self.outside -= 1
-            self.marked -= marked
-
-    def cross(self, page, sign, marked):
-        """page joins (sign 1) or leaves (sign -1) the pages outside the
-        oracle cache."""
-        self.stamp_sum += sign * self.stamps[page]
-        self.outside += sign
-        self.marked += sign * marked
-
-    def position_sum(self):
-        return self.stamp_sum - self.outside * self.popped
-
-
-class _GhostList:
-    """Position sum (LRU = 1) over the pages of a history list outside the
-    oracle cache.
-
-    The list, the policy's own OrderedDict, gains pages at its MRU end
-    and loses them at its LRU end and, on a ghost hit, from the middle.
-    Appends are numbered so that the pages newer than a removed one can
-    be found; a rank is counted by walking from the MRU end.
-    """
-
-    __slots__ = ("pages", "stamps", "appended", "position_sum", "outside")
+    __slots__ = ("pages", "stamps", "appended", "position_sum", "outside", "marked")
 
     def __init__(self, pages):
         self.pages = pages
         self.stamps = {}
-        self.appended = self.position_sum = self.outside = 0
+        self.appended = self.position_sum = self.outside = self.marked = 0
 
     def append(self, page, outside):
         self.appended += 1
@@ -278,16 +238,17 @@ class _GhostList:
             self.position_sum += len(self.stamps)
             self.outside += 1
 
-    def pop_lru(self, page, outside):
+    def popleft(self, page, outside, marked):
         del self.stamps[page]
         if outside:
             self.position_sum -= 1
             self.outside -= 1
+            self.marked -= marked
         self.position_sum -= self.outside  # every other page moves one closer
 
     def remove(self, page, opt_cache):
         """page, which the oracle holds, left from the middle: the pages
-        appended after it move one closer to the LRU end."""
+        appended after it move one closer to the oldest end."""
         stamp = self.stamps.pop(page)
         for other in reversed(self.pages):
             if self.stamps[other] < stamp:
@@ -295,7 +256,7 @@ class _GhostList:
             if other not in opt_cache:
                 self.position_sum -= 1
 
-    def cross(self, page, sign):
+    def cross(self, page, sign, marked):
         """page joins (sign 1) or leaves (sign -1) the pages outside the
         oracle cache."""
         newer = 0
@@ -305,6 +266,7 @@ class _GhostList:
             newer += 1
         self.position_sum += sign * (len(self.pages) - newer)
         self.outside += sign
+        self.marked += sign * marked
 
 
 class _Tracker:
@@ -334,7 +296,7 @@ class _ClockTracker(_Tracker):
 
     def __init__(self, clock):
         super().__init__(clock)
-        self.ring = _StampedRing()
+        self.ring = _RankedList(clock.ring)
 
     def opt_step(self, admitted, evicted, opt_cache):
         self.opt_cache = opt_cache
@@ -359,7 +321,7 @@ class _ClockTracker(_Tracker):
 
     def value(self):
         ring = self.ring
-        return ring.position_sum() + self.policy.capacity * ring.marked, None
+        return ring.position_sum + self.policy.capacity * ring.marked, None
 
 
 class _ArcTracker(_Tracker):
@@ -391,25 +353,19 @@ def _mru_prefix(cached, ghosts, opt_cache):
 
 
 class _CarTracker(_Tracker):
-    """car_potential from a stamped ring for each of T1 and T2 and a
-    position sum for each of B1 and B2; the audit is the term 3 * sum_r."""
+    """car_potential from a ranked list for each of T1, T2, B1 and B2;
+    the audit is the term 3 * sum_r."""
 
     def __init__(self, car):
         super().__init__(car)
-        self.t1 = _StampedRing()
-        self.t2 = _StampedRing()
-        self.b1 = _GhostList(car.b1)
-        self.b2 = _GhostList(car.b2)
+        self.lists = tuple(_RankedList(pages) for pages in (car.t1, car.t2, car.b1, car.b2))
+        self.t1, self.t2, self.b1, self.b2 = self.lists
 
     def _cross(self, page, sign):
-        car = self.policy
-        if page in car.ref:
-            ring = self.t1 if page in self.t1.stamps else self.t2
-            ring.cross(page, sign, car.ref[page])
-        elif page in car.b1:
-            self.b1.cross(page, sign)
-        elif page in car.b2:
-            self.b2.cross(page, sign)
+        for ranked in self.lists:
+            if page in ranked.stamps:
+                ranked.cross(page, sign, self.policy.ref.get(page, 0))
+                return
 
     def opt_step(self, admitted, evicted, opt_cache):
         self.opt_cache = opt_cache
@@ -437,9 +393,9 @@ class _CarTracker(_Tracker):
                 self.b2.append(victim, outside)
         dropped = outcome.evicted_history_page
         if outcome.history_evicted_from == "B1":
-            self.b1.pop_lru(dropped, dropped not in opt_cache)
+            self.b1.popleft(dropped, dropped not in opt_cache, 0)
         elif outcome.history_evicted_from == "B2":
-            self.b2.pop_lru(dropped, dropped not in opt_cache)
+            self.b2.popleft(dropped, dropped not in opt_cache, 0)
         if outcome.history_hit == "B1":
             self.b1.remove(page, opt_cache)
         elif outcome.history_hit == "B2":
@@ -450,8 +406,8 @@ class _CarTracker(_Tracker):
         car = self.policy
         t1, t2 = self.t1, self.t2
         b1_len, b2_len = len(car.b1), len(car.b2)
-        sum_r = (2 * t1.position_sum() + t1.outside * b1_len
-                 + 2 * t2.position_sum() + t2.outside * b2_len
+        sum_r = (2 * t1.position_sum + t1.outside * b1_len
+                 + 2 * t2.position_sum + t2.outside * b2_len
                  + 3 * car.capacity * (t1.marked + t2.marked)
                  + self.b1.position_sum + self.b2.position_sum)
         shared = len(car.ref) - t1.outside - t2.outside

@@ -43,6 +43,13 @@ def check_page_tokens(pages):
         seen[text] = page
 
 
+def check_capacity(capacity):
+    """Raise ValueError unless capacity is a positive int: every cache,
+    the oracle's included, holds a whole number of pages."""
+    if not isinstance(capacity, int) or capacity < 1:
+        raise ValueError("cache capacity must be a positive integer, got %r" % (capacity,))
+
+
 def canonical_key(page):
     """Total order on page tokens, used wherever a deterministic tie-break
     or a stable rendering order is needed."""
@@ -91,8 +98,7 @@ class Policy:
     adaptation = None  # the adaptive target's update rule, for policies that have one
 
     def __init__(self, capacity):
-        if not isinstance(capacity, int) or capacity < 1:
-            raise ValueError("cache capacity must be a positive integer, got %r" % (capacity,))
+        check_capacity(capacity)
         self.capacity = capacity
 
     def request(self, page) -> AccessOutcome:

@@ -7,7 +7,7 @@ import json
 from fractions import Fraction
 
 from .analysis import ADAPT_UNIT, run_checks
-from .core import RESERVED_TOKEN_CHARS
+from .core import RESERVED_TOKEN_CHARS, check_capacity
 from .opt import belady_run
 
 
@@ -112,8 +112,7 @@ def run_simulation(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
     The policy "opt" is the oracle itself: it reads belady_run's miss
     flags, and asking it for checks raises ValueError.
     """
-    if capacity < 1:
-        raise ValueError("cache size must be at least 1, got %r" % (capacity,))
+    check_capacity(capacity)
     label = trace_label if trace_label is not None else "inline:%d" % len(trace)
     name = policy_name.lower()
     if name == "opt":

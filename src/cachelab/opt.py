@@ -13,7 +13,7 @@ import heapq
 import math
 from collections import namedtuple
 
-from .core import canonical_key
+from .core import canonical_key, check_capacity
 
 
 OptStep = namedtuple("OptStep", "was_hit evicted cache_after")
@@ -89,8 +89,7 @@ def belady_run(trace, capacity):
     the same is skipped. The heap is rebuilt from the live entries
     whenever it outgrows 4N, so each request costs O(log N).
     """
-    if capacity < 1:
-        raise ValueError("capacity must be at least 1, got %r" % (capacity,))
+    check_capacity(capacity)
     next_use = annotate_next_use(trace)
     live = {}  # cached page -> its current heap entry
     heap = []
@@ -130,6 +129,7 @@ def exhaustive_opt(trace, capacity, max_length=12, max_distinct=5, max_capacity=
     Memoized search over (position, cache contents); instances beyond the
     configured bounds are rejected because the state space explodes.
     """
+    check_capacity(capacity)
     distinct = len(set(trace))
     if len(trace) > max_length:
         raise ValueError("trace length %d exceeds search bound %d" % (len(trace), max_length))
@@ -137,8 +137,6 @@ def exhaustive_opt(trace, capacity, max_length=12, max_distinct=5, max_capacity=
         raise ValueError("%d distinct pages exceed search bound %d" % (distinct, max_distinct))
     if capacity > max_capacity:
         raise ValueError("capacity %d exceeds search bound %d" % (capacity, max_capacity))
-    if capacity < 1:
-        raise ValueError("capacity must be at least 1, got %r" % (capacity,))
 
     memo = {}
 

@@ -139,8 +139,8 @@ def parse_workload(text, default_seed=0):
     seed falls back to default_seed; other fields are required. A value
     that does not parse as its field's type, a repeated key, a negative
     length, a universe, k, hot or scan below 1, a size field (length,
-    universe, k, hot, scan) above MAX_WORKLOAD_SIZE or a non-finite alpha
-    raises ValueError naming the key.
+    universe, k, hot, scan) above MAX_WORKLOAD_SIZE or a non-finite or
+    negative alpha raises ValueError naming the key.
     """
     kind, _, rest = text.partition(":")
     kind = kind.strip()
@@ -180,4 +180,6 @@ def parse_workload(text, default_seed=0):
                              % (name, MAX_WORKLOAD_SIZE, params[name]))
     if "alpha" in params and not math.isfinite(params["alpha"]):
         raise ValueError("workload alpha must be finite, got %r" % params["alpha"])
+    if params.get("alpha", 0) < 0:
+        raise ValueError("workload alpha must be non-negative, got %r" % params["alpha"])
     return WorkloadSpec(kind=kind, params=tuple(sorted(params.items())))

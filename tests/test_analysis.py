@@ -67,6 +67,11 @@ class TestPhases:
             assert count == (4 if phase.complete else count)
             assert phase.complete or count < 4
 
+    @pytest.mark.parametrize("capacity", [2.5, 0])
+    def test_capacity_must_be_a_positive_int(self, capacity):
+        with pytest.raises(ValueError, match="cache capacity must be a positive integer"):
+            partition_phases([1, 1, 0, 1, 1], capacity)
+
 
 class TestPrefixSizes:
     def test_prefix_stops_at_first_uncovered_page(self):
@@ -459,6 +464,15 @@ class TestPotentialTrackers:
             replay(trace, capacity, name, adaptation)
             assert (run_lockstep(trace, capacity, name, adaptation).entries
                     == reference_lockstep(trace, capacity, name, adaptation))
+
+    @pytest.mark.parametrize("spec,capacity", [
+        ("zipf:universe=1000,alpha=0.9,length=4000,seed=1", 64),
+        ("scan_mix:hot=24,scan=32,length=4000,seed=1", 8),
+    ])
+    def test_agrees_with_reference_potentials_on_benchmark_shapes(self, spec, capacity):
+        # the benchmark's shapes: rings and ghost lists far deeper than the
+        # corpus's, so every rank walk runs long
+        self.test_agrees_with_reference_potentials_on_seeded_traces(spec, capacity)
 
     @settings(max_examples=60, deadline=None)
     @given(trace=st.lists(st.integers(min_value=0, max_value=9), max_size=80),

@@ -178,12 +178,25 @@ def test_repeated_workload_key_exits_two(capsys):
      "workload zipf parameter 'alpha' must parse as float, got 'x'"),
     ("scan_mix:hot=0,scan=0,length=5,seed=1", "workload hot must be at least 1, got 0"),
     ("scan_mix:hot=4,scan=0,length=5,seed=1", "workload scan must be at least 1, got 0"),
+    ("zipf:universe=10,alpha=-1,length=5,seed=1", "workload alpha must be non-negative, got -1.0"),
 ])
 def test_bad_workload_value_names_its_key(capsys, spec, message):
     code, out, err = run_cli(capsys, "gen-trace", "--workload", spec)
     assert code == 2
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--policy", "lru"), ("simulate", "--policy", "opt"), ("compare",),
+    ("verify", "--policy", "clock"),
+])
+def test_cache_size_zero_exits_two_with_one_message(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--cache-size", "0",
+                             "--workload", "cycle:k=3,length=10")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cache capacity must be a positive integer, got 0\n"
 
 
 def test_byte_order_mark_leaves_the_report_alone(tmp_path, capsys):

@@ -95,6 +95,13 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation("lru", 0, [1])
 
+    @pytest.mark.parametrize("policy", ["opt", "lru"])
+    @pytest.mark.parametrize("capacity", [2.5, 0])
+    def test_capacity_must_be_a_positive_int(self, policy, capacity):
+        with pytest.raises(ValueError, match="^cache capacity must be a positive integer, "
+                                             "got %r$" % (capacity,)):
+            run_simulation(policy, capacity, [1, 2, 3, 1, 2, 3, 4, 1, 2])
+
 
 class TestEmitReport:
     def _report(self):

@@ -76,6 +76,14 @@ class TestBelady:
         with pytest.raises(ValueError):
             belady_run([1, 2], 0)
 
+    @pytest.mark.parametrize("capacity", [2.5, 0])
+    def test_capacity_must_be_a_positive_int(self, capacity):
+        message = "^cache capacity must be a positive integer, got %r$" % (capacity,)
+        with pytest.raises(ValueError, match=message):
+            belady_run([1, 2, 3, 1, 2, 3, 4, 1, 2], capacity)
+        with pytest.raises(ValueError, match=message):
+            exhaustive_opt([1, 2, 3, 1, 2], capacity)
+
 
 class TestExhaustive:
     def test_known_small_instances(self):

@@ -130,6 +130,10 @@ class TestParseWorkload:
         with pytest.raises(ValueError, match="alpha must be finite"):
             parse_workload("zipf:universe=10,alpha=%s,length=20,seed=1" % alpha)
 
+    def test_negative_alpha_rejected(self):
+        with pytest.raises(ValueError, match="^workload alpha must be non-negative, got -1.0$"):
+            parse_workload("zipf:universe=10,alpha=-1,length=5,seed=1")
+
     @pytest.mark.parametrize("kind", [
         "cycle:k=3", "fuzz:universe=8,seed=1", "zipf:universe=10,alpha=0.9,seed=1",
         "scan_mix:hot=4,scan=2,seed=1",
