@@ -637,15 +637,13 @@ def _eviction_findings(entry, spec, n):
         found.append(("ALG", "demotion_prefix_consistency", pre.t1, t1_len))
     if out.replace_dest == "B2" and post.b2 >= 1 and pre.t2 != t2_len:
         found.append(("ALG", "demotion_prefix_consistency", pre.t2, t2_len))
-    # directory discards: from B1, from B2, or the raw LRU(T1) drop
-    if out.history_evicted_from == "B1" and pre.l1 >= t1_len + b1_len:
+    # directory discards: from L1 (LRU(B1), or LRU(T1) dropped outright
+    # while B1 is empty; never both on one request), or from B2
+    dropped = out.evicted_cache_page is not None and out.replace_dest is None
+    if (out.history_evicted_from == "B1" or dropped) and pre.l1 >= t1_len + b1_len:
         found.append(("ALG", "eviction_outside_prefix", pre.l1, t1_len + b1_len - 1))
     if out.history_evicted_from == "B2" and pre.l2 >= t2_len + b2_len:
         found.append(("ALG", "eviction_outside_prefix", pre.l2, t2_len + b2_len - 1))
-    if out.evicted_cache_page is not None and out.replace_dest is None:
-        # dropped LRU(T1) with B1 empty: the page leaves the directory
-        if pre.l1 >= t1_len + b1_len:
-            found.append(("ALG", "eviction_outside_prefix", pre.l1, t1_len + b1_len - 1))
     if out.replace_dest == "B2" and pre.t1 == t1_len and pre.t2 == t2_len:
         found.append(("ALG", "protected_list_demotion", pre.t2, t2_len - 1))
     if out.replace_dest == "B1" and pre.t2 == t2_len and pre.t1 == t1_len:

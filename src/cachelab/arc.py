@@ -11,6 +11,9 @@ per ghost hit; ADAPT_RATIO moves it by the ratio of the opposite ghost
 list's size (integer division, floored at 1), evaluated while the
 requested page still sits in its ghost list. ADAPT_UNIT is the variant
 the step-by-step bound checker covers.
+
+Directory holds the four lists, p, its adaptation and the digest; CAR
+(car.py) subclasses it too, with T1 and T2 made clock rings.
 """
 
 from __future__ import annotations
@@ -23,36 +26,24 @@ ADAPT_UNIT = "unit"
 ADAPT_RATIO = "ratio"
 
 
-class ArcCache(Policy):
-    """ARC policy state: four ordered lists plus the adaptive target p.
-
-    All four OrderedDicts run LRU -> MRU left to right; t1/t2 hold cached
-    pages, b1/b2 the ghost entries. The five-way invariants (pairwise
-    disjoint lists, |T1|+|T2| <= N, |T1|+|B1| <= N, directory <= 2N) hold
-    after every request; see analysis.check_arc_structure.
+class Directory(Policy):
+    """Cache lists T1 and T2, ghost lists B1 and B2 (OrderedDicts, LRU ->
+    MRU) and the target p for T1, moved on each ghost hit by one under
+    ADAPT_UNIT and by the ratio rule otherwise. Each subclass passes its
+    own t1/t2 structures and renders them through t1_list()/t2_list().
     """
 
-    kind = "ARC"
+    ref = None  # each cached page's reference bit, where the cache lists are clock rings
 
-    def __init__(self, capacity, adaptation=ADAPT_UNIT):
+    def __init__(self, capacity, t1, t2):
         super().__init__(capacity)
-        if adaptation not in (ADAPT_UNIT, ADAPT_RATIO):
-            raise ValueError("unknown adaptation %r" % (adaptation,))
-        self.adaptation = adaptation
         self.p = 0
-        self.t1 = OrderedDict()
-        self.t2 = OrderedDict()
+        self.t1 = t1
+        self.t2 = t2
         self.b1 = OrderedDict()
         self.b2 = OrderedDict()
-        self.replace_invocations = 0
 
     # -- state views -------------------------------------------------
-
-    def t1_list(self):
-        return list(reversed(self.t1))
-
-    def t2_list(self):
-        return list(reversed(self.t2))
 
     def b1_list(self):
         return list(reversed(self.b1))
@@ -65,37 +56,61 @@ class ArcCache(Policy):
         return len(self.t1) + len(self.t2) == self.capacity
 
     def digest(self):
-        return "ARC p=%d T1=%s T2=%s B1=%s B2=%s" % (
+        return "%s p=%d T1=%s T2=%s B1=%s B2=%s" % (
+            self.kind,
             self.p,
-            render_pages(self.t1_list()),
-            render_pages(self.t2_list()),
+            render_pages(self.t1_list(), self.ref),
+            render_pages(self.t2_list(), self.ref),
             render_pages(self.b1_list()),
             render_pages(self.b2_list()),
         )
 
-    # -- the algorithm -----------------------------------------------
+    # -- the shared steps --------------------------------------------
 
     def adapt(self, hit_list):
         """Move the target p for a ghost hit in B1 (grow) or B2 (shrink).
 
-        Under ADAPT_RATIO the hit list must still contain the requested
+        Under the ratio rule the hit list must still contain the requested
         page, so its size is at least 1 and the division is safe.
         """
-        if hit_list == "B1":
-            if self.adaptation == ADAPT_UNIT:
-                step = 1
-            else:
-                step = max(1, len(self.b2) // len(self.b1))
-            self.p = min(self.p + step, self.capacity)
-        elif hit_list == "B2":
-            if self.adaptation == ADAPT_UNIT:
-                step = 1
-            else:
-                step = max(1, len(self.b1) // len(self.b2))
-            self.p = max(self.p - step, 0)
-        else:
+        if hit_list not in ("B1", "B2"):
             raise ValueError("hit_list must be 'B1' or 'B2', got %r" % (hit_list,))
+        hit, other = (self.b1, self.b2) if hit_list == "B1" else (self.b2, self.b1)
+        step = 1 if self.adaptation == ADAPT_UNIT else max(1, len(other) // len(hit))
+        self.p = min(self.p + step, self.capacity) if hit_list == "B1" else max(self.p - step, 0)
         return self.p
+
+    def _check_replace(self):
+        """Raise unless the cache is full: REPLACE elsewhere is a harness bug."""
+        if len(self.t1) + len(self.t2) != self.capacity:
+            raise RuntimeError("REPLACE requires a full cache (|T1|+|T2| = capacity)")
+
+
+class ArcCache(Directory):
+    """ARC policy state: four ordered lists plus the adaptive target p.
+
+    All four OrderedDicts run LRU -> MRU left to right; t1/t2 hold cached
+    pages, b1/b2 the ghost entries. The five-way invariants (pairwise
+    disjoint lists, |T1|+|T2| <= N, |T1|+|B1| <= N, directory <= 2N) hold
+    after every request; see analysis.check_arc_structure.
+    """
+
+    kind = "ARC"
+
+    def __init__(self, capacity, adaptation=ADAPT_UNIT):
+        super().__init__(capacity, OrderedDict(), OrderedDict())
+        if adaptation not in (ADAPT_UNIT, ADAPT_RATIO):
+            raise ValueError("unknown adaptation %r" % (adaptation,))
+        self.adaptation = adaptation
+        self.replace_invocations = 0
+
+    def t1_list(self):
+        return list(reversed(self.t1))
+
+    def t2_list(self):
+        return list(reversed(self.t2))
+
+    # -- the algorithm -----------------------------------------------
 
     def replace(self, requested_in_b2):
         """Demote one page from the cache into its ghost list.
@@ -103,10 +118,9 @@ class ArcCache(Policy):
         Takes LRU(T1) into B1 when T1 is nonempty and either runs above
         target or sits exactly at target while the request came from B2;
         otherwise takes LRU(T2) into B2. Only legal while the cache is
-        full; a call on a non-full cache signals a harness bug.
+        full.
         """
-        if len(self.t1) + len(self.t2) != self.capacity:
-            raise RuntimeError("REPLACE requires a full cache (|T1|+|T2| = capacity)")
+        self._check_replace()
         self.replace_invocations += 1
         t1_len = len(self.t1)
         if t1_len >= 1 and ((requested_in_b2 and t1_len == self.p) or t1_len > self.p):

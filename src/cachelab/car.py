@@ -1,20 +1,21 @@
 """Clock-based adaptive replacement (CAR).
 
-Combines the dual-list layout of ARC with second-chance rings: the cached
-pages live in two circular lists T1 and T2 with one reference bit each,
-while the ghost lists B1 and B2 stay plain FIFOs. A hit only sets the
-reference bit; all reordering happens on misses, which keeps hits as
-cheap as CLOCK's.
+ARC's directory (arc.Directory: lists T1, T2, B1, B2 and the target p,
+moved by ARC's ratio rule) with the cache lists T1 and T2 made
+second-chance rings with one reference bit per page, while the ghost
+lists B1 and B2 stay plain FIFOs. A hit only sets the reference bit; all
+reordering happens on misses, which keeps hits as cheap as CLOCK's.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 
-from .core import HIT, AccessOutcome, Policy, render_pages
+from .arc import Directory
+from .core import HIT, AccessOutcome
 
 
-class CarCache(Policy):
+class CarCache(Directory):
     """CAR policy state: two rings, two FIFO ghost lists, target p.
 
     t1/t2 run head (next candidate) to tail (insertion point); ref maps
@@ -26,17 +27,10 @@ class CarCache(Policy):
     kind = "CAR"
 
     def __init__(self, capacity):
-        super().__init__(capacity)
-        self.p = 0
-        self.t1 = deque()
-        self.t2 = deque()
+        super().__init__(capacity, deque(), deque())
         self.ref = {}
-        self.b1 = OrderedDict()
-        self.b2 = OrderedDict()
         self.last_replace_iterations = 0
         self.last_swept = ()
-
-    # -- state views -------------------------------------------------
 
     def t1_list(self):
         return list(self.t1)
@@ -44,40 +38,7 @@ class CarCache(Policy):
     def t2_list(self):
         return list(self.t2)
 
-    def b1_list(self):
-        return list(reversed(self.b1))
-
-    def b2_list(self):
-        return list(reversed(self.b2))
-
-    @property
-    def is_full(self):
-        return len(self.t1) + len(self.t2) == self.capacity
-
-    def digest(self):
-        def ring(pages):
-            return "[%s]" % ",".join("%s*" % p if self.ref[p] else str(p) for p in pages)
-
-        return "CAR p=%d T1=%s T2=%s B1=%s B2=%s" % (
-            self.p,
-            ring(self.t1),
-            ring(self.t2),
-            render_pages(self.b1_list()),
-            render_pages(self.b2_list()),
-        )
-
     # -- the algorithm -----------------------------------------------
-
-    def adapt(self, hit_list):
-        """Ratio adaptation of the T1 target, sizes taken with the
-        requested page still in its ghost list."""
-        if hit_list == "B1":
-            self.p = min(self.p + max(1, len(self.b2) // len(self.b1)), self.capacity)
-        elif hit_list == "B2":
-            self.p = max(self.p - max(1, len(self.b1) // len(self.b2)), 0)
-        else:
-            raise ValueError("hit_list must be 'B1' or 'B2', got %r" % (hit_list,))
-        return self.p
 
     def replace(self):
         """Free one cache slot, giving marked heads a second chance.
@@ -91,8 +52,7 @@ class CarCache(Policy):
         2*(|T1|+|T2|) iterations. The recycled pages are kept, in sweep
         order, in last_swept.
         """
-        if len(self.t1) + len(self.t2) != self.capacity:
-            raise RuntimeError("REPLACE requires a full cache (|T1|+|T2| = capacity)")
+        self._check_replace()
         self.last_replace_iterations = 0
         self.last_swept = ()
         while True:

@@ -78,5 +78,4 @@ class ClockCache(Policy):
         return len(self.ring) == self.capacity
 
     def digest(self):
-        entries = ["%s*" % p if self.marked[p] else str(p) for p in self.ring]
-        return "CLOCK RING=[%s]" % ",".join(entries)
+        return "CLOCK RING=%s" % render_pages(self.ring, self.marked)

@@ -31,8 +31,10 @@ FORMAT_ENV_VAR = "CACHELAB_FORMAT"
 
 
 def _default_format():
-    value = os.environ.get(FORMAT_ENV_VAR, "table").lower()
-    return value if value in ("json", "csv", "table") else "table"
+    value = os.environ.get(FORMAT_ENV_VAR) or "table"
+    if value.lower() not in ("json", "csv", "table"):
+        raise ValueError("%s must be json, csv or table, got %r" % (FORMAT_ENV_VAR, value))
+    return value.lower()
 
 
 def _add_trace_args(sub):

@@ -44,9 +44,9 @@ def check_page_tokens(pages):
 
 
 def check_capacity(capacity):
-    """Raise ValueError unless capacity is a positive int: every cache,
-    the oracle's included, holds a whole number of pages."""
-    if not isinstance(capacity, int) or capacity < 1:
+    """Raise ValueError unless capacity is a positive int and not a bool:
+    every cache, the oracle's included, holds a whole number of pages."""
+    if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
         raise ValueError("cache capacity must be a positive integer, got %r" % (capacity,))
 
 
@@ -56,9 +56,12 @@ def canonical_key(page):
     return str(page)
 
 
-def render_pages(pages):
-    """Render an ordered sequence of pages as ``[a,b,c]``."""
-    return "[%s]" % ",".join(str(p) for p in pages)
+def render_pages(pages, marks=None):
+    """Render an ordered sequence of pages as ``[a,b,c]``, with a ``*``
+    after each page whose entry in marks is set."""
+    if marks is None:
+        return "[%s]" % ",".join(str(p) for p in pages)
+    return "[%s]" % ",".join("%s*" % p if marks[p] else str(p) for p in pages)
 
 
 class AccessOutcome(namedtuple(

@@ -3,7 +3,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachelab import CarCache, check_car_invariants, gen_fuzz
+from cachelab import ADAPT_RATIO, ArcCache, CarCache, check_car_invariants, gen_fuzz
 
 
 def drive(car, trace):
@@ -115,6 +115,26 @@ class TestAdapt:
     def test_rejects_unknown_list(self):
         with pytest.raises(ValueError):
             CarCache(2).adapt("T1")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_ratio_arc(self, data):
+        # CAR moves p by ARC's ratio rule, sizes taken with the requested
+        # page still in the hit list
+        n = data.draw(st.integers(1, 16))
+        p = data.draw(st.integers(0, n))
+        hit_list = data.draw(st.sampled_from(["B1", "B2"]))
+        b1 = data.draw(st.integers(1 if hit_list == "B1" else 0, 2 * n))
+        b2 = data.draw(st.integers(1 if hit_list == "B2" else 0, 2 * n))
+        if hit_list == "B1":
+            expected = min(p + max(1, b2 // b1), n)
+        else:
+            expected = max(p - max(1, b1 // b2), 0)
+        for policy in (CarCache(n), ArcCache(n, adaptation=ADAPT_RATIO)):
+            policy.p = p
+            policy.b1 = OrderedDict.fromkeys(range(b1), True)
+            policy.b2 = OrderedDict.fromkeys(range(-b2, 0), True)
+            assert policy.adapt(hit_list) == policy.p == expected
 
 
 class TestInvariants:

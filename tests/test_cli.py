@@ -123,6 +123,26 @@ def test_format_env_var_default(capsys, monkeypatch):
     json.loads(out)
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_format_env_var_unknown_exits_two(capsys, monkeypatch, command):
+    monkeypatch.setenv("CACHELAB_FORMAT", "yaml")
+    argv = ["--cache-size", "2", "--workload", "cycle:k=3,length=6"]
+    if command == "simulate":
+        argv = ["--policy", "lru"] + argv
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: CACHELAB_FORMAT must be json, csv or table, got 'yaml'\n"
+
+
+def test_format_env_var_is_case_insensitive(capsys, monkeypatch):
+    monkeypatch.setenv("CACHELAB_FORMAT", "CSV")
+    code, out, _ = run_cli(capsys, "simulate", "--policy", "lru", "--cache-size", "2",
+                           "--workload", "cycle:k=3,length=6")
+    assert code == 0
+    assert out.startswith("policy,")
+
+
 def test_unreadable_trace_exits_two(capsys):
     code, _, err = run_cli(capsys, "simulate", "--policy", "lru", "--cache-size", "2",
                            "--trace", "/nonexistent/trace.txt")
