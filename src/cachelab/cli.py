@@ -28,11 +28,12 @@ from .harness import (
 from .workloads import parse_workload
 
 FORMAT_ENV_VAR = "CACHELAB_FORMAT"
+FORMATS = ("json", "csv", "table")
 
 
 def _default_format():
     value = os.environ.get(FORMAT_ENV_VAR) or "table"
-    if value.lower() not in ("json", "csv", "table"):
+    if value.lower() not in FORMATS:
         raise ValueError("%s must be json, csv or table, got %r" % (FORMAT_ENV_VAR, value))
     return value.lower()
 
@@ -77,12 +78,12 @@ def build_parser():
                           help="comma list from: invariants,potential,lemmas")
     simulate.add_argument("--fail-on-car-step", action="store_true",
                           help="treat CAR per-step findings as hard failures")
-    simulate.add_argument("--format", choices=("json", "csv", "table"), default=None)
+    simulate.add_argument("--format", choices=FORMATS, default=None)
     _add_trace_args(simulate)
 
     compare = sub.add_parser("compare", help="run all policies plus the optimum on one trace")
     compare.add_argument("--cache-size", type=int, required=True, metavar="N")
-    compare.add_argument("--format", choices=("json", "csv", "table"), default=None)
+    compare.add_argument("--format", choices=FORMATS, default=None)
     _add_trace_args(compare)
 
     verify = sub.add_parser("verify", help="lockstep replay with all checkers; emits JSON")
