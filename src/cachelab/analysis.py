@@ -209,7 +209,8 @@ def potential_for(policy):
 # half-step a walk to the two pages it moved, instead of a rescan of the
 # directory. Both half-steps rely on one fact: once the oracle has served
 # a request, the requested page is in its cache, so whatever the policy
-# does to that page leaves the potential alone.
+# does to that page leaves the potential alone. CLOCK and CAR share one
+# ring tracker, which replays their moves in the order they make them.
 
 
 class _RankedList:
@@ -290,38 +291,86 @@ class _Tracker:
         return 0, None
 
 
-class _ClockTracker(_Tracker):
-    """clock_potential: the ring's position sum plus capacity per marked
-    page, over pages outside the oracle cache."""
+class _RingTracker(_Tracker):
+    """Follows a clock policy's rings (first to last) and ghost lists (B1,
+    B2), a ranked list each; marks maps a cached page to its mark. alg_step
+    replays the moves in the policy's order: sweeps to the last ring, the
+    demotion, the history drop, the ghost-hit removal, then the admission
+    (to the last ring on a ghost hit). Subclasses set policy and value()."""
 
-    def __init__(self, clock):
-        super().__init__(clock)
-        self.ring = _RankedList(clock.ring)
+    def __init__(self, rings, ghosts, marks):
+        self.opt_cache = frozenset()
+        self.marks = marks
+        self.rings = tuple(_RankedList(pages) for pages in rings)
+        self.ghosts = dict(zip(("B1", "B2"), map(_RankedList, ghosts)))
+        self.lists = self.rings + tuple(self.ghosts.values())
+
+    def _holder(self, page):
+        for ranked in self.lists:
+            if page in ranked.stamps:
+                return ranked
 
     def opt_step(self, admitted, evicted, opt_cache):
         self.opt_cache = opt_cache
-        ring, marked = self.ring, self.policy.marked
-        if admitted in ring.stamps:
-            ring.cross(admitted, -1, marked[admitted])
-        if evicted in ring.stamps:
-            ring.cross(evicted, 1, marked[evicted])
+        for page, sign in ((admitted, -1), (evicted, 1)):
+            ranked = self._holder(page)
+            if ranked is not None:
+                ranked.cross(page, sign, self.marks.get(page, 0))
 
     def alg_step(self, page, outcome):
         if outcome.was_hit:
             return
-        ring, opt_cache = self.ring, self.opt_cache
+        opt_cache, ghosts, last = self.opt_cache, self.ghosts, self.rings[-1]
         for swept in outcome.swept:
             outside = swept not in opt_cache
-            ring.popleft(swept, outside, 1)
-            ring.append(swept, outside)
+            self._holder(swept).popleft(swept, outside, 1)
+            last.append(swept, outside)
         victim = outcome.evicted_cache_page
         if victim is not None:
-            ring.popleft(victim, victim not in opt_cache, 0)
-        ring.append(page, False)
+            outside = victim not in opt_cache
+            self._holder(victim).popleft(victim, outside, 0)
+            if outcome.replace_dest is not None:
+                ghosts[outcome.replace_dest].append(victim, outside)
+        dropped = outcome.evicted_history_page
+        if outcome.history_evicted_from is not None:
+            ghosts[outcome.history_evicted_from].popleft(dropped, dropped not in opt_cache, 0)
+        if outcome.history_hit is not None:
+            ghosts[outcome.history_hit].remove(page, opt_cache)
+        (self.rings[0] if outcome.history_hit is None else last).append(page, False)
+
+
+class _ClockTracker(_RingTracker):
+    """clock_potential: the ring's position sum plus capacity per marked
+    page, over pages outside the oracle cache."""
+
+    def __init__(self, clock):
+        super().__init__((clock.ring,), (), clock.marked)
+        self.policy = clock
 
     def value(self):
-        ring = self.ring
+        ring = self.rings[0]
         return ring.position_sum + self.policy.capacity * ring.marked, None
+
+
+class _CarTracker(_RingTracker):
+    """car_potential from the ranked lists of T1, T2, B1 and B2; the audit
+    is the term 3 * sum_r."""
+
+    def __init__(self, car):
+        super().__init__((car.t1, car.t2), (car.b1, car.b2), car.ref)
+        self.policy = car
+
+    def value(self):
+        car = self.policy
+        t1, t2, b1, b2 = self.lists
+        b1_len, b2_len = len(car.b1), len(car.b2)
+        sum_r = (2 * t1.position_sum + t1.outside * b1_len
+                 + 2 * t2.position_sum + t2.outside * b2_len
+                 + 3 * car.capacity * (t1.marked + t2.marked)
+                 + b1.position_sum + b2.position_sum)
+        shared = len(car.ref) - t1.outside - t2.outside
+        phi = car.p + 2 * (b1_len + len(car.t1)) - 3 * shared + 3 * sum_r
+        return phi, 3 * sum_r
 
 
 class _ArcTracker(_Tracker):
@@ -350,69 +399,6 @@ def _mru_prefix(cached, ghosts, opt_cache):
                 return n
             n += 1
     return n
-
-
-class _CarTracker(_Tracker):
-    """car_potential from a ranked list for each of T1, T2, B1 and B2;
-    the audit is the term 3 * sum_r."""
-
-    def __init__(self, car):
-        super().__init__(car)
-        self.lists = tuple(_RankedList(pages) for pages in (car.t1, car.t2, car.b1, car.b2))
-        self.t1, self.t2, self.b1, self.b2 = self.lists
-
-    def _cross(self, page, sign):
-        for ranked in self.lists:
-            if page in ranked.stamps:
-                ranked.cross(page, sign, self.policy.ref.get(page, 0))
-                return
-
-    def opt_step(self, admitted, evicted, opt_cache):
-        self.opt_cache = opt_cache
-        self._cross(admitted, -1)
-        if evicted is not None:
-            self._cross(evicted, 1)
-
-    def alg_step(self, page, outcome):
-        # replays the request's list moves in the order CarCache made them
-        if outcome.was_hit:
-            return
-        t1, t2, opt_cache = self.t1, self.t2, self.opt_cache
-        for swept in outcome.swept:
-            outside = swept not in opt_cache
-            (t1 if swept in t1.stamps else t2).popleft(swept, outside, 1)
-            t2.append(swept, outside)
-        victim = outcome.evicted_cache_page
-        if victim is not None:
-            outside = victim not in opt_cache
-            if outcome.replace_dest == "B1":
-                t1.popleft(victim, outside, 0)
-                self.b1.append(victim, outside)
-            else:
-                t2.popleft(victim, outside, 0)
-                self.b2.append(victim, outside)
-        dropped = outcome.evicted_history_page
-        if outcome.history_evicted_from == "B1":
-            self.b1.popleft(dropped, dropped not in opt_cache, 0)
-        elif outcome.history_evicted_from == "B2":
-            self.b2.popleft(dropped, dropped not in opt_cache, 0)
-        if outcome.history_hit == "B1":
-            self.b1.remove(page, opt_cache)
-        elif outcome.history_hit == "B2":
-            self.b2.remove(page, opt_cache)
-        (t1 if outcome.history_hit is None else t2).append(page, False)
-
-    def value(self):
-        car = self.policy
-        t1, t2 = self.t1, self.t2
-        b1_len, b2_len = len(car.b1), len(car.b2)
-        sum_r = (2 * t1.position_sum + t1.outside * b1_len
-                 + 2 * t2.position_sum + t2.outside * b2_len
-                 + 3 * car.capacity * (t1.marked + t2.marked)
-                 + self.b1.position_sum + self.b2.position_sum)
-        shared = len(car.ref) - t1.outside - t2.outside
-        phi = car.p + 2 * (b1_len + len(car.t1)) - 3 * shared + 3 * sum_r
-        return phi, 3 * sum_r
 
 
 def potential_tracker(policy):

@@ -82,7 +82,7 @@ class Directory(Policy):
 
     def _check_replace(self):
         """Raise unless the cache is full: REPLACE elsewhere is a harness bug."""
-        if len(self.t1) + len(self.t2) != self.capacity:
+        if not self.is_full:
             raise RuntimeError("REPLACE requires a full cache (|T1|+|T2| = capacity)")
 
 
@@ -159,7 +159,6 @@ class ArcCache(Directory):
 
         # full directory miss
         moved = dest = None
-        dropped = None
         hist_evicted = hist_from = None
         l1 = len(self.t1) + len(self.b1)
         total = l1 + len(self.t2) + len(self.b2)
@@ -170,7 +169,7 @@ class ArcCache(Directory):
                 moved, dest = self.replace(requested_in_b2=False)
             else:
                 # B1 is empty and T1 fills the cache: drop LRU(T1) outright
-                dropped, _ = self.t1.popitem(last=False)
+                moved, _ = self.t1.popitem(last=False)
         elif total >= self.capacity:
             if total == 2 * self.capacity:
                 hist_evicted, _ = self.b2.popitem(last=False)
@@ -180,7 +179,7 @@ class ArcCache(Directory):
         self.t1[page] = True
         return AccessOutcome(
             was_hit=False,
-            evicted_cache_page=moved if moved is not None else dropped,
+            evicted_cache_page=moved,
             evicted_history_page=hist_evicted,
             history_evicted_from=hist_from,
             replace_dest=dest,

@@ -83,7 +83,7 @@ class CarCache(Directory):
         moved = dest = None
         hist_evicted = hist_from = None
         swept = ()
-        if len(self.t1) + len(self.t2) == self.capacity:
+        if self.is_full:
             moved, dest = self.replace()
             swept = self.last_swept
             if history_hit is None:

@@ -4,7 +4,7 @@ Subcommands: simulate (one policy over one trace), compare (every policy
 plus the offline optimum on one trace), verify (lockstep replay with all
 checkers), gen-trace (write a generated workload as a trace file).
 Identical inputs and flags produce byte-identical output; the exit status
-is nonzero when any asserted check fails.
+is nonzero when any asserted check fails, and 130 on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -159,6 +159,9 @@ def main(argv=None):
     except (TraceParseError, ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except KeyboardInterrupt:
+        sys.stderr.write("error: interrupted\n")
+        return 130
     return 0
 
 

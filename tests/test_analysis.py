@@ -465,6 +465,29 @@ class TestPotentialTrackers:
             assert (run_lockstep(trace, capacity, name, adaptation).entries
                     == reference_lockstep(trace, capacity, name, adaptation))
 
+    def test_seeded_traces_cover_every_move_a_car_sweep_combines_with(self):
+        # the seeded differential above guards the order in which one
+        # alg_step replays a CAR request's moves only where a sweep meets
+        # each other move; a smaller corpus could lose one of them
+        seen = dict.fromkeys(("hit B1", "hit B2", "drop B1", "drop B2", "T2 head to B2"), 0)
+        for spec in CORPUS:
+            trace = parse_workload(spec).generate()
+            for capacity in (1, 2, 3, 4, 8):
+                car = make_policy("car", capacity)
+                for page in trace:
+                    t2 = set(car.t2)
+                    outcome = car.request(page)
+                    if not outcome.swept:
+                        continue
+                    moves = ["hit %s" % outcome.history_hit,
+                             "drop %s" % outcome.history_evicted_from]
+                    if outcome.replace_dest == "B2" and t2.intersection(outcome.swept):
+                        moves.append("T2 head to B2")  # a recycled T2 head, then a B2 demotion
+                    for move in moves:
+                        if move in seen:
+                            seen[move] += 1
+        assert all(seen.values()), seen
+
     @pytest.mark.parametrize("spec,capacity", [
         ("zipf:universe=1000,alpha=0.9,length=4000,seed=1", 64),
         ("scan_mix:hot=24,scan=32,length=4000,seed=1", 8),

@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachelab import analysis, workloads
+from cachelab import analysis, cli, workloads
 from cachelab.cli import build_parser, main
 
 
@@ -217,6 +217,17 @@ def test_cache_size_zero_exits_two_with_one_message(capsys, command):
     assert code == 2
     assert out == ""
     assert err == "error: cache capacity must be a positive integer, got 0\n"
+
+
+def test_interrupt_exits_130_with_one_line(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_simulation", interrupted)
+    code, out, err = run_cli(capsys, "simulate", "--policy", "arc", "--cache-size", "4",
+                             "--workload", "cycle:k=5,length=50")
+    assert (code, out) == (130, "")
+    assert err == "error: interrupted\n"
 
 
 def test_byte_order_mark_leaves_the_report_alone(tmp_path, capsys):
