@@ -1,11 +1,13 @@
-"""Shared domain types and the contract every replacement policy implements.
+"""Shared domain types, trace text I/O and the contract every replacement
+policy implements.
 
 Pages are opaque tokens: any hashable value whose str() form is nonempty
 and contains no whitespace and none of the characters ``*,[]`` that
 digests use as syntax (parse_trace and the verification pass reject such
 tokens); a verified run also needs distinct pages to have distinct str()
-forms. Integer block numbers and string keys both work; two requests
-name the same page exactly when their tokens compare equal.
+forms, and no page may be None. Integer block numbers and string keys
+both work; two requests name the same page exactly when their tokens
+compare equal.
 
 Unlike a production cache, every policy here exposes its complete internal
 state (ordered lists, mark bits, the adaptive target) so that the
@@ -26,9 +28,13 @@ def check_page_tokens(pages):
     """Raise ValueError naming the first page whose str() form is empty or
     holds whitespace or a reserved character, or the first two distinct
     pages with the same str() form (1 and "1"): their digests would be
-    ambiguous. Each distinct page is checked once."""
+    ambiguous. None is rejected too: records read it as "nothing
+    evicted". Each distinct page is checked once."""
     seen = {}
     for page in dict.fromkeys(pages):
+        if page is None:
+            raise ValueError("page None cannot be checked: the records use None for "
+                             "\"nothing evicted\"")
         text = str(page)
         if text.split() != [text] or any(c in text for c in RESERVED_TOKEN_CHARS):
             raise ValueError(
@@ -41,6 +47,51 @@ def check_page_tokens(pages):
                 "str() form %r" % (seen[text], page, text)
             )
         seen[text] = page
+
+
+class TraceParseError(ValueError):
+    pass
+
+
+def parse_trace(data):
+    """Tokens of a trace file: whitespace separated, '#' lines are
+    comments, blank lines are skipped. Accepts bytes or str, and drops
+    one leading byte order mark; invalid UTF-8 raises TraceParseError
+    naming the byte offset, and a token containing one of
+    RESERVED_TOKEN_CHARS raises it naming the token and its line."""
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(
+                "trace is not valid UTF-8 at byte offset %d" % exc.start
+            ) from exc
+    else:
+        text = data
+    # decoded as plain utf-8, not utf-8-sig, so error offsets count the mark
+    text = text.removeprefix("\ufeff")
+    # comments may hold reserved characters; scan tokens only if the text does
+    check_reserved = any(c in text for c in RESERVED_TOKEN_CHARS)
+    tokens = []
+    for number, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        words = stripped.split()
+        if check_reserved:
+            for word in words:
+                if any(c in word for c in RESERVED_TOKEN_CHARS):
+                    raise TraceParseError(
+                        "trace token %r on line %d contains one of the reserved characters %s"
+                        % (word, number, RESERVED_TOKEN_CHARS)
+                    )
+        tokens.extend(words)
+    return tokens
+
+
+def format_trace(trace):
+    """Render a trace in the text format parse_trace reads back."""
+    return "\n".join(str(p) for p in trace) + ("\n" if len(trace) else "")
 
 
 def check_capacity(capacity):

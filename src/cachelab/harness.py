@@ -1,4 +1,8 @@
-"""Run orchestration: trace parsing, simulation, verification, reports."""
+"""Run orchestration: simulation, verification and reports.
+
+Trace text I/O lives in core, so reading a trace loads no verification
+code; its three names are re-exported here.
+"""
 
 from __future__ import annotations
 
@@ -7,53 +11,8 @@ import json
 from fractions import Fraction
 
 from .analysis import ADAPT_UNIT, run_checks
-from .core import RESERVED_TOKEN_CHARS, check_capacity
+from .core import TraceParseError, check_capacity, format_trace, parse_trace
 from .opt import belady_run
-
-
-class TraceParseError(ValueError):
-    pass
-
-
-def parse_trace(data):
-    """Tokens of a trace file: whitespace separated, '#' lines are
-    comments, blank lines are skipped. Accepts bytes or str, and drops
-    one leading byte order mark; invalid UTF-8 raises TraceParseError
-    naming the byte offset, and a token containing one of
-    RESERVED_TOKEN_CHARS raises it naming the token and its line."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceParseError(
-                "trace is not valid UTF-8 at byte offset %d" % exc.start
-            ) from exc
-    else:
-        text = data
-    # decoded as plain utf-8, not utf-8-sig, so error offsets count the mark
-    text = text.removeprefix("\ufeff")
-    # comments may hold reserved characters; scan tokens only if the text does
-    check_reserved = any(c in text for c in RESERVED_TOKEN_CHARS)
-    tokens = []
-    for number, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        words = stripped.split()
-        if check_reserved:
-            for word in words:
-                if any(c in word for c in RESERVED_TOKEN_CHARS):
-                    raise TraceParseError(
-                        "trace token %r on line %d contains one of the reserved characters %s"
-                        % (word, number, RESERVED_TOKEN_CHARS)
-                    )
-        tokens.extend(words)
-    return tokens
-
-
-def format_trace(trace):
-    """Render a trace in the text format parse_trace reads back."""
-    return "\n".join(str(p) for p in trace) + ("\n" if len(trace) else "")
 
 
 def _fraction_str(value):

@@ -851,6 +851,23 @@ class TestAmbiguousPages:
             run_lockstep([1, 2, "1"], 2, "arc")
         assert verify_trace("clock", 2, [1, 1.0, True])[0]["policy_misses"] == 1
 
+    def test_checked_runs_reject_a_none_page(self):
+        # the records read None as "nothing evicted", so a tracker cannot
+        # follow a None page (CAR's raised KeyError, CLOCK's went negative)
+        trace = [None, 1, 2, None, 3, 1, None, 4, 2, 3, None, 1] * 5
+        for name in ("car", "clock"):
+            with pytest.raises(ValueError, match="page None cannot be checked"):
+                verify_trace(name, 2, trace)
+            with pytest.raises(ValueError, match="page None"):
+                run_simulation(name, 2, trace, checks=("invariants",))
+        with pytest.raises(ValueError, match="page None"):
+            run_lockstep(trace, 2, "arc")
+        # unchecked runs take None as one more page
+        renamed = ["none" if page is None else page for page in trace]
+        for name in ("lru", "clock", "arc", "car", "opt"):
+            assert (run_simulation(name, 2, trace).to_dict()
+                    == run_simulation(name, 2, renamed).to_dict())
+
 
 # ---------------------------------------------------------------------------
 # one replay path: unchecked runs go through run_checks too

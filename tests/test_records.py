@@ -1,7 +1,9 @@
-"""Records are tuples, not dataclasses.
+"""Records are tuples, not dataclasses, and `import cachelab` is lazy.
 
 Every CLI command is a fresh interpreter that imports cachelab before it
 reads a request, and `import dataclasses` alone loads inspect, ast and dis.
+The package exports each name from its home module on first use, so
+reading a trace loads no verification code.
 """
 
 import os
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import cachelab
 from cachelab import (
     ArcCache,
     CarCache,
@@ -25,6 +28,31 @@ from cachelab.core import HIT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# every name `from cachelab import ...` offered before the exports were lazy
+EXPORTS = {
+    "ADAPT_RATIO", "ADAPT_UNIT", "AccessOutcome", "ArcCache", "CarCache", "ClockCache",
+    "LockstepLog", "LruCache", "OptSchedule", "Phase", "Policy", "PotentialBreakdown",
+    "PrefixSizes", "RunReport", "SplitMix64", "TraceParseError", "Verification", "Violation",
+    "ViolationReport", "WorkloadSpec", "annotate_next_use", "arc_potential", "belady_run",
+    "canonical_key", "car_potential", "car_step_report", "check_aggregate_bound",
+    "check_arc_eviction_audit", "check_arc_structure", "check_car_invariants",
+    "check_step_inequalities", "clock_potential", "emit_report", "exhaustive_opt",
+    "format_trace", "gen_cycle", "gen_fuzz", "gen_scan_mix", "gen_zipf", "make_policy",
+    "mru_prefix_sizes", "parse_trace", "parse_workload", "partition_phases", "run_checks",
+    "run_lockstep", "run_simulation", "verify_trace",
+}
+SUBMODULES = ("core", "arc", "car", "classic", "opt", "analysis", "harness", "workloads")
+
+
+def run_cold(code):
+    """stdout of code run in a fresh interpreter; -S: no site hook may
+    preload a module and hide an import."""
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
 
 @pytest.mark.parametrize("module", ["cachelab", "cachelab.cli"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
@@ -36,6 +64,46 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_loading_a_trace_loads_only_core_and_workloads():
+    out = run_cold(
+        "import sys, cachelab\n"
+        "cachelab.parse_workload('zipf:universe=50,alpha=0.9,length=100,seed=1').generate()\n"
+        "assert cachelab.parse_trace(b'1 2 3') == ['1', '2', '3']\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cachelab'))\n"
+        "print(sorted({'json', 'fractions'} & set(sys.modules)))\n"
+    )
+    assert out == "['cachelab', 'cachelab.core', 'cachelab.workloads']\n[]\n"
+
+
+class TestExportTable:
+    def test_every_export_is_its_home_modules_object(self):
+        for name in cachelab.__all__:
+            home = getattr(cachelab, cachelab._HOME[name])
+            assert getattr(cachelab, name) is getattr(home, name)
+            # a class or function is exported from the module that defines it
+            assert getattr(getattr(home, name), "__module__", home.__name__) == home.__name__
+
+    def test_the_exports_are_the_48_names_of_before(self):
+        assert len(cachelab.__all__) == len(set(cachelab.__all__)) == 48
+        assert set(cachelab.__all__) == EXPORTS
+        assert cachelab.__version__ == "0.1.0"
+
+    def test_star_import_and_dir_list_every_export(self):
+        namespace = {}
+        exec("from cachelab import *", namespace)
+        assert EXPORTS <= set(namespace)
+        assert EXPORTS | set(SUBMODULES) <= set(dir(cachelab))
+
+    def test_submodules_are_attributes_after_a_bare_import(self):
+        out = run_cold("import sys, cachelab\n"
+                       "for name in %r:\n"
+                       "    assert getattr(cachelab, name) is sys.modules['cachelab.' + name]\n"
+                       "print('ok')\n" % (SUBMODULES,))
+        assert out == "ok\n"
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cachelab.no_such_name
 
 
 @pytest.mark.parametrize("cls", [LruCache, ClockCache, ArcCache, CarCache])
