@@ -87,12 +87,11 @@ def _prefix_len(pages, opt_cache):
 
 def mru_prefix_sizes(arc, opt_cache):
     """Audit an ARC state against the oracle cache (see PrefixSizes)."""
-    t1_len = len(arc.t1)
-    t2_len = len(arc.t2)
-    l1 = _prefix_len(arc.t1_list() + arc.b1_list(), opt_cache)
-    l2 = _prefix_len(arc.t2_list() + arc.b2_list(), opt_cache)
-    t1p = min(l1, t1_len)
-    t2p = min(l2, t2_len)
+    _, t1, t2, b1, b2 = arc.state()
+    l1 = _prefix_len(t1 + b1, opt_cache)
+    l2 = _prefix_len(t2 + b2, opt_cache)
+    t1p = min(l1, len(t1))
+    t2p = min(l2, len(t2))
     return PrefixSizes(t1=t1p, t2=t2p, b1=l1 - t1p, b2=l2 - t2p, l1=l1, l2=l2)
 
 
@@ -143,7 +142,7 @@ def clock_potential(clock, opt_cache):
         pos += 1
         if page in opt_cache:
             continue
-        phi += pos + (clock.capacity if clock.marked[page] else 0)
+        phi += pos + (clock.capacity if clock.marks[page] else 0)
     return PotentialBreakdown(phi=phi, terms=(("sum_r", phi),))
 
 
@@ -163,13 +162,13 @@ def car_sweep_ranks(car, opt_cache):
         pos += 1
         if page in opt_cache:
             continue
-        total += 2 * pos + b1_len + (3 * n if car.ref[page] else 0)
+        total += 2 * pos + b1_len + (3 * n if car.marks[page] else 0)
     pos = 0
     for page in car.t2:
         pos += 1
         if page in opt_cache:
             continue
-        total += 2 * pos + b2_len + (3 * n if car.ref[page] else 0)
+        total += 2 * pos + b2_len + (3 * n if car.marks[page] else 0)
     for ghosts in (car.b1, car.b2):
         pos = 0
         for page in ghosts:  # OrderedDict iterates LRU -> MRU
@@ -182,7 +181,7 @@ def car_sweep_ranks(car, opt_cache):
 def car_potential(car, opt_cache):
     """phi = p + 2(|B1|+|T1|) - 3|U| + 3 * sum of sweep ranks, where U is
     the set of cached pages the oracle also holds."""
-    shared = sum(1 for page in car.ref if page in opt_cache)
+    shared = sum(1 for page in car.marks if page in opt_cache)
     sum_r = car_sweep_ranks(car, opt_cache)
     terms = (
         ("p", car.p),
@@ -225,12 +224,12 @@ class _RankedList:
     counted by walking from the newest end.
     """
 
-    __slots__ = ("pages", "stamps", "appended", "position_sum", "outside", "marked")
+    __slots__ = ("pages", "stamps", "appended", "position_sum", "outside", "outside_marked")
 
     def __init__(self, pages):
         self.pages = pages
         self.stamps = {}
-        self.appended = self.position_sum = self.outside = self.marked = 0
+        self.appended = self.position_sum = self.outside = self.outside_marked = 0
 
     def append(self, page, outside):
         self.appended += 1
@@ -244,7 +243,7 @@ class _RankedList:
         if outside:
             self.position_sum -= 1
             self.outside -= 1
-            self.marked -= marked
+            self.outside_marked -= marked
         self.position_sum -= self.outside  # every other page moves one closer
 
     def remove(self, page, opt_cache):
@@ -267,7 +266,7 @@ class _RankedList:
             newer += 1
         self.position_sum += sign * (len(self.pages) - newer)
         self.outside += sign
-        self.marked += sign * marked
+        self.outside_marked += sign * marked
 
 
 class _Tracker:
@@ -293,14 +292,13 @@ class _Tracker:
 
 class _RingTracker(_Tracker):
     """Follows a clock policy's rings (first to last) and ghost lists (B1,
-    B2), a ranked list each; marks maps a cached page to its mark. alg_step
+    B2), a ranked list each, reading marks from policy.marks. alg_step
     replays the moves in the policy's order: sweeps to the last ring, the
     demotion, the history drop, the ghost-hit removal, then the admission
-    (to the last ring on a ghost hit). Subclasses set policy and value()."""
+    (to the last ring on a ghost hit). Subclasses set value()."""
 
-    def __init__(self, rings, ghosts, marks):
-        self.opt_cache = frozenset()
-        self.marks = marks
+    def __init__(self, policy, rings, ghosts):
+        super().__init__(policy)
         self.rings = tuple(_RankedList(pages) for pages in rings)
         self.ghosts = dict(zip(("B1", "B2"), map(_RankedList, ghosts)))
         self.lists = self.rings + tuple(self.ghosts.values())
@@ -315,7 +313,7 @@ class _RingTracker(_Tracker):
         for page, sign in ((admitted, -1), (evicted, 1)):
             ranked = self._holder(page)
             if ranked is not None:
-                ranked.cross(page, sign, self.marks.get(page, 0))
+                ranked.cross(page, sign, self.policy.marks.get(page, False))
 
     def alg_step(self, page, outcome):
         if outcome.was_hit:
@@ -344,12 +342,11 @@ class _ClockTracker(_RingTracker):
     page, over pages outside the oracle cache."""
 
     def __init__(self, clock):
-        super().__init__((clock.ring,), (), clock.marked)
-        self.policy = clock
+        super().__init__(clock, (clock.ring,), ())
 
     def value(self):
         ring = self.rings[0]
-        return ring.position_sum + self.policy.capacity * ring.marked, None
+        return ring.position_sum + self.policy.capacity * ring.outside_marked, None
 
 
 class _CarTracker(_RingTracker):
@@ -357,8 +354,7 @@ class _CarTracker(_RingTracker):
     is the term 3 * sum_r."""
 
     def __init__(self, car):
-        super().__init__((car.t1, car.t2), (car.b1, car.b2), car.ref)
-        self.policy = car
+        super().__init__(car, (car.t1, car.t2), (car.b1, car.b2))
 
     def value(self):
         car = self.policy
@@ -366,9 +362,9 @@ class _CarTracker(_RingTracker):
         b1_len, b2_len = len(car.b1), len(car.b2)
         sum_r = (2 * t1.position_sum + t1.outside * b1_len
                  + 2 * t2.position_sum + t2.outside * b2_len
-                 + 3 * car.capacity * (t1.marked + t2.marked)
+                 + 3 * car.capacity * (t1.outside_marked + t2.outside_marked)
                  + b1.position_sum + b2.position_sum)
-        shared = len(car.ref) - t1.outside - t2.outside
+        shared = len(car.marks) - t1.outside - t2.outside
         phi = car.p + 2 * (b1_len + len(car.t1)) - 3 * shared + 3 * sum_r
         return phi, 3 * sum_r
 

@@ -12,15 +12,16 @@ list's size (integer division, floored at 1), evaluated while the
 requested page still sits in its ghost list. ADAPT_UNIT is the variant
 the step-by-step bound checker covers.
 
-Directory holds the four lists, p, its adaptation and the digest; CAR
-(car.py) subclasses it too, with T1 and T2 made clock rings.
+Directory holds the four lists, p and its adaptation; CAR (car.py)
+subclasses it, with T1 and T2 made clock rings. ArcCache.state() is
+(p, T1, T2, B1, B2), every list MRU -> LRU: ``ARC p=0 T1=[3] T2=[1] B1=[2] B2=[]``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
-from .core import HIT, AccessOutcome, Policy, render_pages
+from .core import HIT, AccessOutcome, Policy
 
 ADAPT_UNIT = "unit"
 ADAPT_RATIO = "ratio"
@@ -30,10 +31,8 @@ class Directory(Policy):
     """Cache lists T1 and T2, ghost lists B1 and B2 (OrderedDicts, LRU ->
     MRU) and the target p for T1, moved on each ghost hit by one under
     ADAPT_UNIT and by the ratio rule otherwise. Each subclass passes its
-    own t1/t2 structures and renders them through t1_list()/t2_list().
+    own t1/t2 structures and states their order in its state().
     """
-
-    ref = None  # each cached page's reference bit, where the cache lists are clock rings
 
     def __init__(self, capacity, t1, t2):
         super().__init__(capacity)
@@ -43,27 +42,9 @@ class Directory(Policy):
         self.b1 = OrderedDict()
         self.b2 = OrderedDict()
 
-    # -- state views -------------------------------------------------
-
-    def b1_list(self):
-        return list(reversed(self.b1))
-
-    def b2_list(self):
-        return list(reversed(self.b2))
-
     @property
     def is_full(self):
         return len(self.t1) + len(self.t2) == self.capacity
-
-    def digest(self):
-        return "%s p=%d T1=%s T2=%s B1=%s B2=%s" % (
-            self.kind,
-            self.p,
-            render_pages(self.t1_list(), self.ref),
-            render_pages(self.t2_list(), self.ref),
-            render_pages(self.b1_list()),
-            render_pages(self.b2_list()),
-        )
 
     # -- the shared steps --------------------------------------------
 
@@ -104,11 +85,10 @@ class ArcCache(Directory):
         self.adaptation = adaptation
         self.replace_invocations = 0
 
-    def t1_list(self):
-        return list(reversed(self.t1))
-
-    def t2_list(self):
-        return list(reversed(self.t2))
+    def state(self):
+        """(p, T1, T2, B1, B2), every list MRU -> LRU."""
+        return (self.p, tuple(reversed(self.t1)), tuple(reversed(self.t2)),
+                tuple(reversed(self.b1)), tuple(reversed(self.b2)))
 
     # -- the algorithm -----------------------------------------------
 

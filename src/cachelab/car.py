@@ -5,11 +5,14 @@ moved by ARC's ratio rule) with the cache lists T1 and T2 made
 second-chance rings with one reference bit per page, while the ghost
 lists B1 and B2 stay plain FIFOs. A hit only sets the reference bit; all
 reordering happens on misses, which keeps hits as cheap as CLOCK's.
+CarCache.state() is (p, T1, T2, B1, B2, marks); its digest puts a ``*``
+after each page whose bit is set: ``CAR p=0 T1=[3*] T2=[1] B1=[2] B2=[]``.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 
 from .arc import Directory
 from .core import HIT, AccessOutcome
@@ -18,7 +21,7 @@ from .core import HIT, AccessOutcome
 class CarCache(Directory):
     """CAR policy state: two rings, two FIFO ghost lists, target p.
 
-    t1/t2 run head (next candidate) to tail (insertion point); ref maps
+    t1/t2 run head (next candidate) to tail (insertion point); marks maps
     every cached page to its reference bit. b1/b2 run LRU -> MRU like
     ARC's ghost lists. The seven structural invariants on the list sizes
     are audited by analysis.check_car_invariants.
@@ -28,15 +31,15 @@ class CarCache(Directory):
 
     def __init__(self, capacity):
         super().__init__(capacity, deque(), deque())
-        self.ref = {}
+        self.marks = {}
         self.last_replace_iterations = 0
         self.last_swept = ()
 
-    def t1_list(self):
-        return list(self.t1)
-
-    def t2_list(self):
-        return list(self.t2)
+    def state(self):
+        """(p, T1, T2, B1, B2, marks): the rings head -> tail, the ghost
+        lists MRU -> LRU, and the marked cached pages."""
+        return (self.p, tuple(self.t1), tuple(self.t2), tuple(reversed(self.b1)),
+                tuple(reversed(self.b2)), frozenset(compress(self.marks, self.marks.values())))
 
     # -- the algorithm -----------------------------------------------
 
@@ -59,23 +62,23 @@ class CarCache(Directory):
             self.last_replace_iterations += 1
             if len(self.t1) >= max(1, self.p):
                 head = self.t1.popleft()
-                if not self.ref[head]:
-                    del self.ref[head]
+                if not self.marks[head]:
+                    del self.marks[head]
                     self.b1[head] = True
                     return head, "B1"
             else:
                 head = self.t2.popleft()
-                if not self.ref[head]:
-                    del self.ref[head]
+                if not self.marks[head]:
+                    del self.marks[head]
                     self.b2[head] = True
                     return head, "B2"
-            self.ref[head] = 0
+            self.marks[head] = False
             self.t2.append(head)
             self.last_swept += (head,)
 
     def request(self, page):
-        if page in self.ref:
-            self.ref[page] = 1
+        if page in self.marks:
+            self.marks[page] = True
             return HIT
 
         old_p = self.p
@@ -102,7 +105,7 @@ class CarCache(Directory):
             self.adapt(history_hit)
             del (self.b1 if history_hit == "B1" else self.b2)[page]
             self.t2.append(page)
-        self.ref[page] = 0
+        self.marks[page] = False
         return AccessOutcome(
             was_hit=False,
             evicted_cache_page=moved,

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from itertools import compress
 
-from .core import HIT, AccessOutcome, Policy, render_pages
+from .core import HIT, AccessOutcome, Policy
 
 
 class LruCache(Policy):
@@ -27,15 +28,13 @@ class LruCache(Policy):
         self.queue[page] = True
         return AccessOutcome(was_hit=False, evicted_cache_page=evicted)
 
-    def mru_to_lru(self):
-        return list(reversed(self.queue))
-
     @property
     def is_full(self):
         return len(self.queue) == self.capacity
 
-    def digest(self):
-        return "LRU Q=%s" % render_pages(self.mru_to_lru())
+    def state(self):
+        """(Q,): the queue MRU -> LRU."""
+        return (tuple(reversed(self.queue)),)
 
 
 class ClockCache(Policy):
@@ -53,29 +52,30 @@ class ClockCache(Policy):
     def __init__(self, capacity):
         super().__init__(capacity)
         self.ring = deque()  # index 0 = head, right end = tail
-        self.marked = {}
+        self.marks = {}  # each ring page's mark bit
 
     def request(self, page):
-        if page in self.marked:
-            self.marked[page] = True
+        if page in self.marks:
+            self.marks[page] = True
             return HIT
         evicted = None
         swept = ()
         if len(self.ring) == self.capacity:
-            while self.marked[self.ring[0]]:
+            while self.marks[self.ring[0]]:
                 head = self.ring.popleft()
-                self.marked[head] = False
+                self.marks[head] = False
                 self.ring.append(head)
                 swept += (head,)
             evicted = self.ring.popleft()
-            del self.marked[evicted]
+            del self.marks[evicted]
         self.ring.append(page)
-        self.marked[page] = False
+        self.marks[page] = False
         return AccessOutcome(was_hit=False, evicted_cache_page=evicted, swept=swept)
 
     @property
     def is_full(self):
         return len(self.ring) == self.capacity
 
-    def digest(self):
-        return "CLOCK RING=%s" % render_pages(self.ring, self.marked)
+    def state(self):
+        """(RING, marks): the ring head -> tail and its marked pages."""
+        return tuple(self.ring), frozenset(compress(self.marks, self.marks.values()))

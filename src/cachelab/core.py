@@ -10,8 +10,9 @@ both work; two requests name the same page exactly when their tokens
 compare equal.
 
 Unlike a production cache, every policy here exposes its complete internal
-state (ordered lists, mark bits, the adaptive target) so that the
-verification layer can audit each request.
+state (ordered lists, mark bits, the adaptive target) as one canonical
+tuple, Policy.state(), so that the verification layer can audit each
+request; render_state turns that tuple into the policy's digest line.
 """
 
 from __future__ import annotations
@@ -107,12 +108,29 @@ def canonical_key(page):
     return str(page)
 
 
-def render_pages(pages, marks=None):
-    """Render an ordered sequence of pages as ``[a,b,c]``, with a ``*``
-    after each page whose entry in marks is set."""
-    if marks is None:
-        return "[%s]" % ",".join(str(p) for p in pages)
-    return "[%s]" % ",".join("%s*" % p if marks[p] else str(p) for p in pages)
+# the digest labels of a state() tuple's items, by its length (marks have none)
+STATE_LABELS = {
+    1: ("Q",),  # LRU: (Q,)
+    2: ("RING",),  # CLOCK: (RING, marks)
+    5: ("p", "T1", "T2", "B1", "B2"),  # ARC
+    6: ("p", "T1", "T2", "B1", "B2"),  # CAR: ARC's five, then marks
+}
+
+
+def render_state(kind, state):
+    """The digest line of a Policy.state(): the kind, then each item under
+    its STATE_LABELS label, an int as ``p=3``, pages as ``T1=[a,b*]`` (b marked)."""
+    marks = state[-1] if isinstance(state[-1], frozenset) else ()
+    line = kind
+    for label, item in zip(STATE_LABELS[len(state)], state):
+        if isinstance(item, int):
+            line += " %s=%d" % (label, item)
+        elif marks:
+            line += " %s=[%s]" % (label, ",".join(
+                [str(page) + "*" if page in marks else str(page) for page in item]))
+        else:
+            line += " %s=[%s]" % (label, ",".join(map(str, item)))
+    return line
 
 
 class AccessOutcome(namedtuple(
@@ -163,10 +181,10 @@ class Policy:
         raise NotImplementedError
 
     def digest(self):
-        """Canonical one-line rendering of the complete observable state.
-
-        Equal states produce identical digests; any observable difference
-        (ordering, a mark bit, the adaptive target) changes the line.
-        The format is stable and used by golden-file tests.
+        """Canonical one-line rendering of state(), the complete observable
+        state, which each subclass returns as a hashable tuple (see
+        STATE_LABELS). Equal states produce identical digests; any
+        observable difference (ordering, a mark bit, the adaptive target)
+        changes the line. The format is stable and used by golden-file tests.
         """
-        raise NotImplementedError
+        return render_state(self.kind, self.state())

@@ -109,7 +109,7 @@ class TestArcPotential:
         arc = ArcCache(2)
         for page in ["a", "b", "b"]:
             arc.request(page)
-        assert arc.t1_list() == ["a"] and arc.t2_list() == ["b"]
+        assert arc.state()[1:3] == (("a",), ("b",))
         before = arc_potential(arc, {"a", "b"}).phi
         arc.request("a")
         after = arc_potential(arc, {"a", "b"}).phi
@@ -150,7 +150,7 @@ class TestCarPotential:
     def test_marked_ring_page(self):
         car = CarCache(2)
         car.t1.append("q")
-        car.ref["q"] = 1
+        car.marks["q"] = True
         breakdown = car_potential(car, set())
         assert breakdown.term("sum_r") == 24  # R = 3*2 + 2*1 + 0 = 8
         assert breakdown.phi == 26
@@ -307,10 +307,10 @@ class TestCarInvariantChecker:
         car = CarCache(n)
         for page in t1:
             car.t1.append(page)
-            car.ref[page] = 0
+            car.marks[page] = False
         for page in t2:
             car.t2.append(page)
-            car.ref[page] = 0
+            car.marks[page] = False
         car.b1 = OrderedDict((p, True) for p in b1)
         car.b2 = OrderedDict((p, True) for p in b2)
         return car
@@ -528,7 +528,7 @@ class TestPotentialTrackers:
         for i, (_, outcome, _, car) in enumerate(tracked_replay(trace, 2, "car")):
             if i == 3:
                 assert outcome.swept == (1,) and outcome.replace_dest == "B1"
-                assert car.t1_list() == [3] and car.t2_list() == [1]
+                assert car.state()[1:3] == ((3,), (1,))
             recycled += len(outcome.swept)
         assert recycled >= 2
 

@@ -18,11 +18,12 @@ class TestRequest:
         # the final miss demotes LRU(T1)=2 into B1 before 3 enters
         assert outcomes[3].evicted_cache_page == 2
         assert outcomes[3].replace_dest == "B1"
-        assert arc.t1_list() == [3]
-        assert arc.t2_list() == [1]
-        assert arc.b1_list() == [2]
-        assert arc.b2_list() == []
-        assert arc.p == 0
+        p, t1, t2, b1, b2 = arc.state()
+        assert t1 == (3,)
+        assert t2 == (1,)
+        assert b1 == (2,)
+        assert b2 == ()
+        assert p == arc.p == 0
 
     def test_hit_on_mru_t2_changes_nothing(self):
         arc = ArcCache(2)
@@ -35,16 +36,15 @@ class TestRequest:
     def test_t1_hit_promotes_into_t2(self):
         arc = ArcCache(2)
         drive(arc, [1, 2])
-        assert arc.t1_list() == [2, 1]
+        assert arc.state()[1] == (2, 1)
         out = arc.request(1)
         assert out.was_hit
-        assert arc.t1_list() == [2]
-        assert arc.t2_list() == [1]
+        assert arc.state()[1:3] == ((2,), (1,))
 
     def test_directory_miss_inserts_at_mru_t1(self):
         arc = ArcCache(4)
         drive(arc, [1, 2, 3])
-        assert arc.t1_list() == [3, 2, 1]
+        assert arc.state()[1] == (3, 2, 1)
 
     def test_history_hit_reenters_at_mru_t2(self):
         arc = ArcCache(2)
@@ -52,7 +52,7 @@ class TestRequest:
         out = arc.request(2)
         assert not out.was_hit
         assert out.history_hit == "B1"
-        assert arc.t2_list()[0] == 2
+        assert arc.state()[2][0] == 2
 
 
 class TestReplace:

@@ -18,20 +18,22 @@ class TestRequest:
         # the last miss recycles marked head 1 into T2 and demotes 2 into B1
         assert outcomes[3].evicted_cache_page == 2
         assert outcomes[3].replace_dest == "B1"
-        assert car.t1_list() == [3]
-        assert car.t2_list() == [1]
-        assert car.b1_list() == [2]
-        assert car.b2_list() == []
-        assert car.ref == {3: 0, 1: 0}
-        assert car.p == 0
+        p, t1, t2, b1, b2, marked = car.state()
+        assert t1 == (3,)
+        assert t2 == (1,)
+        assert b1 == (2,)
+        assert b2 == ()
+        assert car.marks == {3: False, 1: False}
+        assert marked == frozenset()
+        assert p == car.p == 0
 
     def test_hit_only_sets_the_bit(self):
         car = CarCache(3)
         drive(car, [1, 2, 3])
         out = car.request(2)
         assert out.was_hit
-        assert car.t1_list() == [1, 2, 3]
-        assert car.ref[2] == 1
+        assert car.state()[1] == (1, 2, 3)
+        assert car.marks[2] is True
 
     def test_history_hit_adapts_and_enters_t2_tail(self):
         car = CarCache(2)
@@ -40,15 +42,15 @@ class TestRequest:
         assert not out.was_hit
         assert out.history_hit == "B1"
         assert out.adaptation_delta == 1  # min(p + max(1, 0//1), N)
-        assert car.t2_list()[-1] == 2
-        assert car.ref[2] == 0
+        assert car.state()[2][-1] == 2
+        assert car.marks[2] is False
 
     def test_new_page_enters_t1_tail_unmarked(self):
         car = CarCache(3)
         drive(car, [1, 2])
         car.request(3)
-        assert car.t1_list() == [1, 2, 3]
-        assert car.ref[3] == 0
+        assert car.state()[1] == (1, 2, 3)
+        assert car.marks[3] is False
 
 
 class TestReplace:
@@ -56,25 +58,25 @@ class TestReplace:
         car = CarCache(2)
         car.t1.append("a")
         car.t2.append("b")
-        car.ref.update({"a": 0, "b": 0})
+        car.marks.update({"a": False, "b": False})
         assert car.replace() == ("a", "B1")
-        assert car.b1_list() == ["a"]
+        assert car.state()[3] == ("a",)
 
     def test_marked_t1_head_recycles_then_demotes_from_t2(self):
         car = CarCache(1)
         car.t1.append("a")
-        car.ref["a"] = 1
+        car.marks["a"] = True
         assert car.replace() == ("a", "B2")
         assert car.last_replace_iterations == 2
-        assert car.b2_list() == ["a"]
+        assert car.state()[4] == ("a",)
 
     def test_second_chance_within_t2(self):
         car = CarCache(2)
         car.t2.extend(["b", "c"])
-        car.ref.update({"b": 1, "c": 0})
+        car.marks.update({"b": True, "c": False})
         assert car.replace() == ("c", "B2")
-        assert car.t2_list() == ["b"]
-        assert car.ref["b"] == 0
+        assert car.state()[2] == ("b",)
+        assert car.marks["b"] is False
 
     def test_rejects_non_full_cache(self):
         car = CarCache(3)
@@ -153,7 +155,8 @@ class TestInvariants:
         # prepended a page at the MRU end just before
         car = CarCache(3)
         for page in gen_fuzz(9, 1000, seed=91):
-            before = {"B1": car.b1_list(), "B2": car.b2_list()}
+            _, _, _, b1, b2, _ = car.state()
+            before = {"B1": list(b1), "B2": list(b2)}
             out = car.request(page)
             source = out.history_evicted_from
             if source is not None:

@@ -12,7 +12,7 @@ class TestLru:
         lru = LruCache(2)
         outcomes = [lru.request(p).was_hit for p in [1, 2, 1]]
         assert outcomes == [False, False, True]
-        assert lru.mru_to_lru() == [1, 2]
+        assert lru.state() == ((1, 2),)
 
     def test_cycle_thrashes(self):
         # capacity 3 against a 4-page cycle: every page is evicted before reuse
@@ -54,7 +54,7 @@ class TestClock:
         # the final miss unmarks page 1 and evicts page 2 instead
         assert outcomes[3].evicted_cache_page == 2
         assert list(clock.ring) == [1, 3]
-        assert clock.marked == {1: False, 3: False}
+        assert clock.marks == {1: False, 3: False}
 
     def test_sweep_reports_the_pages_given_a_second_chance(self):
         clock = ClockCache(3)
@@ -70,7 +70,7 @@ class TestClock:
         assert outcomes[-1].swept == ("a", "b", "c")
         assert outcomes[-1].evicted_cache_page == "a"
         assert list(clock.ring) == ["b", "c", "d"]
-        assert not any(clock.marked.values())
+        assert not any(clock.marks.values())
 
     def test_fifo_when_unmarked(self):
         clock = ClockCache(2)

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cachelab import (
+    ADAPT_RATIO,
     ArcCache,
     CarCache,
     ClockCache,
+    LruCache,
+    analysis,
     canonical_key,
     gen_fuzz,
     make_policy,
 )
+from cachelab.core import render_state
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -39,14 +43,14 @@ def test_single_mark_bit_changes_digest():
     for page in [1, 2]:
         a.request(page)
         b.request(page)
-    b.marked[1] = True
+    b.marks[1] = True
     assert a.digest() != b.digest()
 
     c, d = CarCache(2), CarCache(2)
     for page in [1, 2]:
         c.request(page)
         d.request(page)
-    d.ref[1] = 1
+    d.marks[1] = True
     assert c.digest() != d.digest()
 
 
@@ -95,6 +99,34 @@ def test_digest_replay_determinism(trace, capacity, name):
         assert first.digest() == second.digest()
 
 
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(analysis.POLICY_TABLE), capacity=capacities,
+       traces=st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=30),
+                       min_size=2, max_size=2))
+def test_state_identity(spec, capacity, traces):
+    # every state two policies of one row pass through, from the empty one
+    # on, with its hash and the digest rendered when it was taken
+    taken = []
+
+    def take(policy):
+        state = policy.state()
+        taken.append((state, hash(state), policy.digest()))
+
+    for trace in traces:
+        policy = spec.make(capacity)
+        take(policy)
+        for page in trace:
+            policy.request(page)
+            take(policy)
+    for state, hashed, digest in taken:
+        # a state taken earlier is unchanged by the requests served since
+        assert hash(state) == hashed
+        assert render_state(spec.cls.kind, state) == digest
+    for a, _, a_digest in taken:
+        for b, _, b_digest in taken:
+            assert (a == b) == (a_digest == b_digest)
+
+
 def test_digest_golden_file():
     expected = (DATA / "digests_golden.txt").read_text().splitlines()
     lines = []
@@ -107,3 +139,29 @@ def test_digest_golden_file():
         car.request(page)
         lines.append(car.digest())
     assert lines == expected
+
+
+# string pages with repeats enough for marks, sweeps and ghost hits at N=3
+WORD_TRACE = ("alpha beta gamma alpha beta delta beta epsilon alpha gamma zeta beta "
+              "delta alpha epsilon gamma beta zeta alpha alpha").split()
+
+
+def golden_kinds_lines():
+    """Per-request digests of LRU, CLOCK and ratio ARC on the fuzz trace of
+    digests_golden.txt, then of all four kinds on WORD_TRACE, at N=3."""
+    runs = [
+        (LruCache(3), gen_fuzz(6, 40, seed=11)),
+        (ClockCache(3), gen_fuzz(6, 40, seed=11)),
+        (ArcCache(3, adaptation=ADAPT_RATIO), gen_fuzz(6, 40, seed=11)),
+    ] + [(cls(3), WORD_TRACE) for cls in (LruCache, ClockCache, ArcCache, CarCache)]
+    lines = []
+    for policy, trace in runs:
+        for page in trace:
+            policy.request(page)
+            lines.append(policy.digest())
+    return lines
+
+
+def test_digest_golden_file_for_every_kind():
+    expected = (DATA / "digests_golden_kinds.txt").read_text().splitlines()
+    assert golden_kinds_lines() == expected
