@@ -101,12 +101,6 @@ class PotentialBreakdown(namedtuple("PotentialBreakdown", "phi terms audit", def
 
     __slots__ = ()
 
-    def term(self, name):
-        for key, value in self.terms:
-            if key == name:
-                return value
-        raise KeyError(name)
-
 
 def arc_potential(arc, opt_cache):
     """Weighted audit of how much of ARC's directory the oracle shares.
@@ -496,16 +490,8 @@ class Violation(namedtuple("Violation", "index step check lhs rhs page digest op
     __slots__ = ()
 
     def to_dict(self):
-        return {
-            "index": self.index,
-            "step": self.step,
-            "check": self.check,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "page": str(self.page),
-            "digest": self.digest,
-            "opt_cache": list(self.opt_cache),
-        }
+        return dict(self._asdict(), lhs=str(self.lhs), rhs=str(self.rhs), page=str(self.page),
+                    opt_cache=list(self.opt_cache))
 
 
 class ViolationReport(namedtuple("ViolationReport", "violations")):
@@ -527,10 +513,6 @@ class ViolationReport(namedtuple("ViolationReport", "violations")):
             tally[v.check] = tally.get(v.check, 0) + 1
         return tally
 
-    def extend(self, other):
-        self.violations.extend(other.violations)
-        return self
-
     def to_dicts(self):
         return [v.to_dict() for v in self.violations]
 
@@ -548,13 +530,16 @@ def _violation(entry, step, check, lhs, rhs, digest):
     )
 
 
-def _log_report(log, find):
-    """Run a per-entry check over every entry of a log (see PolicySpec)."""
+def _log_report(log, *finds):
+    """Run per-entry checks over every entry of a log (see PolicySpec),
+    one check after another: the report lists the first check's findings,
+    then the next check's."""
     spec = _spec_for(log.policy_kind, log.adaptation)
     report = ViolationReport()
-    for entry in log.entries:
-        for step, check, lhs, rhs in find(entry, spec, log.capacity):
-            report.violations.append(_violation(entry, step, check, lhs, rhs, entry.digest))
+    for find in finds:
+        for entry in log.entries:
+            for step, check, lhs, rhs in find(entry, spec, log.capacity):
+                report.violations.append(_violation(entry, step, check, lhs, rhs, entry.digest))
     return report
 
 
@@ -739,10 +724,7 @@ def car_step_report(log):
     them."""
     if log.policy_kind != "CAR":
         raise ValueError("the CAR step report applies to CAR logs, got %r" % (log.policy_kind,))
-    report = ViolationReport()
-    for find in _spec_for(log.policy_kind, log.adaptation).step_checks:
-        report.extend(_log_report(log, find))
-    return report
+    return _log_report(log, *_spec_for(log.policy_kind, log.adaptation).step_checks)
 
 
 # ---------------------------------------------------------------------------

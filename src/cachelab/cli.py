@@ -118,17 +118,18 @@ def main(argv=None):
         trace, label = _load_trace(args)
 
         if args.command == "simulate":
-            checks = tuple(part for part in args.checks.split(",") if part)
+            fmt = args.format or _default_format()  # before the replay, to fail fast
+            checks = tuple(name for name in map(str.strip, args.checks.split(",")) if name)
             report = run_simulation(
                 args.policy, args.cache_size, trace,
                 adaptation=args.adaptation, checks=checks, trace_label=label,
                 fail_on_car_step=args.fail_on_car_step,
             )
-            fmt = args.format or _default_format()
             sys.stdout.write(emit_report(report, fmt))
             return 1 if report.hard_failure else 0
 
         if args.command == "compare":
+            fmt = args.format or _default_format()
             reports = []
             runs = [(spec.name, spec.adaptation) for spec in analysis.POLICY_TABLE]
             for policy, adaptation in runs + [("opt", None)]:
@@ -142,7 +143,6 @@ def main(argv=None):
                     report.opt_misses = opt_misses
                     if opt_misses:
                         report.miss_to_opt_ratio = Fraction(report.misses, opt_misses)
-            fmt = args.format or _default_format()
             sys.stdout.write(emit_report(reports, fmt))
             return 0
 

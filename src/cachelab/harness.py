@@ -169,8 +169,9 @@ def emit_report(reports, fmt="table"):
     """Render one report or a list of them as json, csv or table text.
 
     JSON emits a single object for a single report and an array for a
-    list; rationals render exactly as "p/q". The CSV header is fixed.
-    Tables sort rows by hit ratio, best first.
+    list; rationals render exactly as "p/q". CSV and table rows project
+    the JSON object's fields, None rendering as an empty cell or "-". The
+    CSV header is fixed. Tables sort rows by hit ratio, best first.
     """
     single = isinstance(reports, RunReport)
     items = [reports] if single else list(reports)
@@ -184,20 +185,10 @@ def emit_report(reports, fmt="table"):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in items:
-            writer.writerow([
-                r.policy,
-                r.adaptation or "",
-                r.cache_size,
-                r.trace,
-                r.requests,
-                r.hits,
-                r.misses,
-                _fraction_str(r.hit_ratio) or "",
-                r.opt_misses if r.opt_misses is not None else "",
-                _fraction_str(r.miss_to_opt_ratio) or "",
-                r.complete_phases if r.complete_phases is not None else "",
-                sum(r.violations.values()),
-            ])
+            # csv.writer renders None as an empty cell
+            fields = r.to_dict()
+            writer.writerow([fields[key] for key in CSV_HEADER[:-1]]
+                            + [sum(r.violations.values())])
         return buf.getvalue()
     if fmt == "table":
         rows = sorted(
@@ -205,21 +196,14 @@ def emit_report(reports, fmt="table"):
             key=lambda r: (-(r.hit_ratio if r.hit_ratio is not None else Fraction(-1)),
                            r.policy),
         )
-        header = ["policy", "n", "requests", "hits", "misses", "hit_ratio",
-                  "opt_misses", "violations"]
+        keys = ("cache_size", "requests", "hits", "misses", "hit_ratio", "opt_misses")
+        header = ["policy", "n", *keys[1:], "violations"]
         body = []
         for r in rows:
             name = r.policy if not r.adaptation else "%s(%s)" % (r.policy, r.adaptation)
-            body.append([
-                name,
-                str(r.cache_size),
-                str(r.requests),
-                str(r.hits),
-                str(r.misses),
-                _fraction_str(r.hit_ratio) or "-",
-                str(r.opt_misses) if r.opt_misses is not None else "-",
-                str(sum(r.violations.values())),
-            ])
+            fields = r.to_dict()
+            cells = ["-" if fields[key] is None else str(fields[key]) for key in keys]
+            body.append([name] + cells + [str(sum(r.violations.values()))])
         widths = [max(len(header[i]), *(len(row[i]) for row in body)) if body else len(header[i])
                   for i in range(len(header))]
         lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]

@@ -145,14 +145,14 @@ class TestCarPotential:
         car.b1 = OrderedDict([("q", True)])
         breakdown = car_potential(car, set())
         assert breakdown.phi == 5
-        assert breakdown.term("sum_r") == 3
+        assert dict(breakdown.terms)["sum_r"] == 3
 
     def test_marked_ring_page(self):
         car = CarCache(2)
         car.t1.append("q")
         car.marks["q"] = True
         breakdown = car_potential(car, set())
-        assert breakdown.term("sum_r") == 24  # R = 3*2 + 2*1 + 0 = 8
+        assert dict(breakdown.terms)["sum_r"] == 24  # R = 3*2 + 2*1 + 0 = 8
         assert breakdown.phi == 26
 
 

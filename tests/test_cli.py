@@ -86,6 +86,15 @@ def test_verify_car_fail_flag(capsys):
     assert code == expected
 
 
+@pytest.mark.parametrize("spaced", ["invariants, potential", " potential", "lemmas ,potential "])
+def test_checks_names_are_stripped(capsys, spaced):
+    argv = ["simulate", "--policy", "arc", "--cache-size", "3", "--format", "json",
+            "--workload", "fuzz:universe=10,length=200,seed=5", "--checks"]
+    code, out, err = run_cli(capsys, *argv, spaced)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, spaced.replace(" ", "")) == (0, out, "")
+
+
 @pytest.mark.parametrize("flags", [("--checks", "potential"), ("--checks", "invariants,lemmas"),
                                    ("--fail-on-car-step",)])
 def test_opt_with_checks_exits_two(capsys, flags):
@@ -125,6 +134,10 @@ def test_format_env_var_default(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_format_env_var_unknown_exits_two(capsys, monkeypatch, command):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("replayed the trace before rejecting the format")
+
+    monkeypatch.setattr(cli, "run_simulation", unexpected)
     monkeypatch.setenv("CACHELAB_FORMAT", "yaml")
     argv = ["--cache-size", "2", "--workload", "cycle:k=3,length=6"]
     if command == "simulate":

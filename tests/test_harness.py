@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,10 @@ from cachelab import (
     run_simulation,
     verify_trace,
 )
+from cachelab.cli import main
 from cachelab.harness import CSV_HEADER
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestParseTrace:
@@ -137,6 +141,19 @@ class TestEmitReport:
         first = emit_report(self._report(), "json")
         second = emit_report(self._report(), "json")
         assert first.encode() == second.encode()
+
+    def test_cli_output_matches_the_golden_file(self, capsys):
+        # reports_golden.txt holds one "$ argv" line per CLI run, then its stdout
+        runs = []
+        for line in (DATA / "reports_golden.txt").read_text().splitlines(keepends=True):
+            if line.startswith("$ "):
+                runs.append((line[2:].split(), []))
+            else:
+                runs[-1][1].append(line)
+        assert len(runs) == 11
+        for argv, expected in runs:
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out == "".join(expected), argv
 
 
 class TestVerifyTrace:
