@@ -34,6 +34,8 @@ class Directory(Policy):
     own t1/t2 structures and states their order in its state().
     """
 
+    labels = ("p", "T1", "T2", "B1", "B2")
+
     def __init__(self, capacity, t1, t2):
         super().__init__(capacity)
         self.p = 0
@@ -71,9 +73,10 @@ class ArcCache(Directory):
     """ARC policy state: four ordered lists plus the adaptive target p.
 
     All four OrderedDicts run LRU -> MRU left to right; t1/t2 hold cached
-    pages, b1/b2 the ghost entries. The five-way invariants (pairwise
-    disjoint lists, |T1|+|T2| <= N, |T1|+|B1| <= N, directory <= 2N) hold
-    after every request; see analysis.check_arc_structure.
+    pages, b1/b2 the ghost entries. After every request the four lists
+    are pairwise disjoint and keep the directory invariants CAR shares
+    (size caps, no ghost before the cache is full, 0 <= p <= N); see
+    analysis.check_arc_structure.
     """
 
     kind = "ARC"

@@ -23,8 +23,8 @@ class CarCache(Directory):
 
     t1/t2 run head (next candidate) to tail (insertion point); marks maps
     every cached page to its reference bit. b1/b2 run LRU -> MRU like
-    ARC's ghost lists. The seven structural invariants on the list sizes
-    are audited by analysis.check_car_invariants.
+    ARC's ghost lists. The directory invariants it shares with ARC are
+    audited by analysis.check_car_invariants.
     """
 
     kind = "CAR"

@@ -12,6 +12,7 @@ class LruCache(Policy):
     """Least-recently-used eviction over a single recency queue."""
 
     kind = "LRU"
+    labels = ("Q",)
 
     def __init__(self, capacity):
         super().__init__(capacity)
@@ -48,6 +49,7 @@ class ClockCache(Policy):
     """
 
     kind = "CLOCK"
+    labels = ("RING",)
 
     def __init__(self, capacity):
         super().__init__(capacity)

@@ -17,14 +17,8 @@ from fractions import Fraction
 
 from . import analysis
 from .analysis import ADAPT_UNIT
-from .harness import (
-    TraceParseError,
-    emit_report,
-    format_trace,
-    parse_trace,
-    run_simulation,
-    verify_trace,
-)
+from .core import TraceParseError, format_trace, parse_trace
+from .harness import emit_report, run_simulation, verify_trace
 from .workloads import parse_workload
 
 FORMAT_ENV_VAR = "CACHELAB_FORMAT"
@@ -34,7 +28,8 @@ FORMATS = ("json", "csv", "table")
 def _default_format():
     value = os.environ.get(FORMAT_ENV_VAR) or "table"
     if value.lower() not in FORMATS:
-        raise ValueError("%s must be json, csv or table, got %r" % (FORMAT_ENV_VAR, value))
+        raise ValueError("%s must be %s or %s, got %r"
+                         % (FORMAT_ENV_VAR, ", ".join(FORMATS[:-1]), FORMATS[-1], value))
     return value.lower()
 
 
@@ -75,7 +70,7 @@ def build_parser():
                           help="arc target adaptation rule (default unit)")
     simulate.add_argument("--cache-size", type=int, required=True, metavar="N")
     simulate.add_argument("--checks", default="",
-                          help="comma list from: invariants,potential,lemmas")
+                          help="comma list from: " + ",".join(analysis.ALL_CHECKS))
     simulate.add_argument("--fail-on-car-step", action="store_true",
                           help="treat CAR per-step findings as hard failures")
     simulate.add_argument("--format", choices=FORMATS, default=None)
@@ -154,15 +149,12 @@ def main(argv=None):
             )
             sys.stdout.write(json.dumps(result, indent=2, sort_keys=False) + "\n")
             return 1 if hard else 0
-
-        parser.error("unknown command %r" % (args.command,))
     except (TraceParseError, ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except KeyboardInterrupt:
         sys.stderr.write("error: interrupted\n")
         return 130
-    return 0
 
 
 if __name__ == "__main__":

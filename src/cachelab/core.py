@@ -12,7 +12,8 @@ compare equal.
 Unlike a production cache, every policy here exposes its complete internal
 state (ordered lists, mark bits, the adaptive target) as one canonical
 tuple, Policy.state(), so that the verification layer can audit each
-request; render_state turns that tuple into the policy's digest line.
+request; the class's labels name the tuple's items, and render_state
+turns the two into the policy's digest line.
 """
 
 from __future__ import annotations
@@ -108,21 +109,12 @@ def canonical_key(page):
     return str(page)
 
 
-# the digest labels of a state() tuple's items, by its length (marks have none)
-STATE_LABELS = {
-    1: ("Q",),  # LRU: (Q,)
-    2: ("RING",),  # CLOCK: (RING, marks)
-    5: ("p", "T1", "T2", "B1", "B2"),  # ARC
-    6: ("p", "T1", "T2", "B1", "B2"),  # CAR: ARC's five, then marks
-}
-
-
-def render_state(kind, state):
+def render_state(kind, labels, state):
     """The digest line of a Policy.state(): the kind, then each item under
-    its STATE_LABELS label, an int as ``p=3``, pages as ``T1=[a,b*]`` (b marked)."""
+    its label, an int as ``p=3``, pages as ``T1=[a,b*]`` (b marked)."""
     marks = state[-1] if isinstance(state[-1], frozenset) else ()
     line = kind
-    for label, item in zip(STATE_LABELS[len(state)], state):
+    for label, item in zip(labels, state):
         if isinstance(item, int):
             line += " %s=%d" % (label, item)
         elif marks:
@@ -167,6 +159,7 @@ class Policy:
     """
 
     kind = "?"
+    labels = ()  # the digest label of each state() item; the marks set has none
     adaptation = None  # the adaptive target's update rule, for policies that have one
 
     def __init__(self, capacity):
@@ -182,9 +175,9 @@ class Policy:
 
     def digest(self):
         """Canonical one-line rendering of state(), the complete observable
-        state, which each subclass returns as a hashable tuple (see
-        STATE_LABELS). Equal states produce identical digests; any
+        state, which each subclass returns as a hashable tuple and names
+        item by item in labels. Equal states produce identical digests; any
         observable difference (ordering, a mark bit, the adaptive target)
         changes the line. The format is stable and used by golden-file tests.
         """
-        return render_state(self.kind, self.state())
+        return render_state(self.kind, self.labels, self.state())

@@ -1,8 +1,4 @@
-"""Run orchestration: simulation, verification and reports.
-
-Trace text I/O lives in core, so reading a trace loads no verification
-code; its three names are re-exported here.
-"""
+"""Run orchestration: simulation, verification and reports."""
 
 from __future__ import annotations
 
@@ -11,7 +7,7 @@ import json
 from fractions import Fraction
 
 from .analysis import ADAPT_UNIT, run_checks
-from .core import TraceParseError, check_capacity, format_trace, parse_trace
+from .core import check_capacity
 from .opt import belady_run
 
 

@@ -1,5 +1,5 @@
 import itertools
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from fractions import Fraction
 
 import pytest
@@ -302,35 +302,41 @@ class TestArcEvictionAudit:
             check_arc_eviction_audit(run_lockstep([1], 2, "clock"))
 
 
-class TestCarInvariantChecker:
-    def _car(self, n, t1=(), t2=(), b1=(), b2=()):
-        car = CarCache(n)
-        for page in t1:
-            car.t1.append(page)
-            car.marks[page] = False
-        for page in t2:
-            car.t2.append(page)
-            car.marks[page] = False
-        car.b1 = OrderedDict((p, True) for p in b1)
-        car.b2 = OrderedDict((p, True) for p in b2)
-        return car
+def plant_directory(cls, n, p=0, t1=(), t2=(), b1=(), b2=()):
+    """An ArcCache or CarCache of capacity n with target p and the given
+    lists, each LRU -> MRU (head -> tail for CAR's rings), marks unset."""
+    policy = cls(n)
+    policy.p = p
+    if cls is CarCache:
+        policy.t1, policy.t2 = deque(t1), deque(t2)
+        policy.marks = dict.fromkeys([*t1, *t2], False)
+    else:
+        policy.t1, policy.t2 = OrderedDict.fromkeys(t1, True), OrderedDict.fromkeys(t2, True)
+    policy.b1, policy.b2 = OrderedDict.fromkeys(b1, True), OrderedDict.fromkeys(b2, True)
+    return policy
 
+
+def found_checks(report):
+    return [(v.check, v.lhs, v.rhs) for v in report.violations]
+
+
+class TestCarInvariantChecker:
     def test_valid_full_state_passes(self):
-        car = self._car(2, t1=["a"], t2=["b"], b1=["c"])
+        car = plant_directory(CarCache, 2, t1=["a"], t2=["b"], b1=["c"])
         assert check_car_invariants(car).ok
 
     def test_oversized_cache_fires(self):
-        car = self._car(2, t1=["a", "b"], t2=["c"])
+        car = plant_directory(CarCache, 2, t1=["a", "b"], t2=["c"])
         checks = {v.check for v in check_car_invariants(car).violations}
         assert "size_bound_cache" in checks
 
     def test_history_before_full_fires(self):
-        car = self._car(2, t1=["a"], b1=["g"])
+        car = plant_directory(CarCache, 2, t1=["a"], b1=["g"])
         checks = {v.check for v in check_car_invariants(car).violations}
         assert "history_empty_until_full" in checks
 
     def test_fullness_monotone_fires(self):
-        car = self._car(2, t1=["a"])
+        car = plant_directory(CarCache, 2, t1=["a"])
         checks = {v.check for v in check_car_invariants(car, was_full=True).violations}
         assert "fullness_monotone" in checks
 
@@ -363,6 +369,30 @@ class TestArcStructure:
             assert found == ([(sizes, len(union))] if len(union) != sizes else []), i
             fired += len(found)
         assert fired >= 10
+
+
+class TestDirectoryRules:
+    def test_arc_ghost_before_the_cache_is_full_fires(self):
+        arc = plant_directory(ArcCache, 3, t1="a", b1="g")
+        assert found_checks(check_arc_structure(arc)) == [("history_empty_until_full", 1, 0)]
+
+    def test_arc_large_directory_with_a_short_cache_fires(self):
+        arc = plant_directory(ArcCache, 3, t1="a", b1="gh")
+        assert ("full_once_directory_large", 1, 3) in found_checks(check_arc_structure(arc))
+
+    def test_car_target_out_of_range_fires(self):
+        car = plant_directory(CarCache, 3, p=4, t1="abc")
+        assert found_checks(check_car_invariants(car)) == [("target_range", 4, 3)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=4), p=st.integers(min_value=-1, max_value=6),
+           lists=st.lists(st.lists(st.integers(min_value=0, max_value=7), unique=True,
+                                   max_size=9), min_size=4, max_size=4),
+           was_full=st.sampled_from([None, False, True]))
+    def test_arc_adds_only_disjointness_to_cars_rules(self, n, p, lists, was_full):
+        arc = found_checks(check_arc_structure(plant_directory(ArcCache, n, p, *lists), was_full))
+        car = found_checks(check_car_invariants(plant_directory(CarCache, n, p, *lists), was_full))
+        assert [f for f in arc if f[0] != "lists_disjoint"] == car
 
 
 class TestCarStepReport:

@@ -38,6 +38,23 @@ def test_arc_digest_after_short_run():
     assert arc.digest() == "ARC p=0 T1=[3] T2=[1] B1=[2] B2=[]"
 
 
+def test_a_new_layout_renders_under_its_own_labels():
+    class SplitLru(LruCache):
+        """LRU whose state splits the queue into its MRU page and the rest."""
+
+        kind = "SPLIT"
+        labels = ("HEAD", "REST")
+
+        def state(self):
+            queue = tuple(reversed(self.queue))
+            return queue[:1], queue[1:]
+
+    split = SplitLru(3)
+    for page in [1, 2, 3, 2]:
+        split.request(page)
+    assert split.digest() == "SPLIT HEAD=[2] REST=[3,1]"
+
+
 def test_single_mark_bit_changes_digest():
     a, b = ClockCache(2), ClockCache(2)
     for page in [1, 2]:
@@ -121,7 +138,7 @@ def test_state_identity(spec, capacity, traces):
     for state, hashed, digest in taken:
         # a state taken earlier is unchanged by the requests served since
         assert hash(state) == hashed
-        assert render_state(spec.cls.kind, state) == digest
+        assert render_state(spec.cls.kind, spec.cls.labels, state) == digest
     for a, _, a_digest in taken:
         for b, _, b_digest in taken:
             assert (a == b) == (a_digest == b_digest)
