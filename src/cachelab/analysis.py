@@ -507,12 +507,6 @@ class ViolationReport(namedtuple("ViolationReport", "violations")):
     def ok(self):
         return not self.violations
 
-    def counts(self):
-        tally = {}
-        for v in self.violations:
-            tally[v.check] = tally.get(v.check, 0) + 1
-        return tally
-
     def to_dicts(self):
         return [v.to_dict() for v in self.violations]
 
@@ -802,35 +796,31 @@ ALL_CHECKS = ("invariants", "potential", "lemmas")
 
 class Verification(namedtuple(
         "Verification",
-        "spec miss_flags opt_misses final_potential step step_asserted eviction_audit "
-        "aggregate_holds state")):
-    """What one run found, for the policy row spec. A report is None, and
-    so is aggregate_holds, when its check was not requested or does not
-    apply to the policy; opt_misses is None when no check needed the
-    oracle. step_asserted is False for CAR's report-only step findings."""
+        "spec miss_flags opt_misses final_potential reports asserted aggregate_holds")):
+    """What one run found, for the policy row spec. reports maps the name
+    of each report the run made (step, eviction_audit, state_invariants,
+    in this order) to its ViolationReport; asserted names the reports
+    whose findings fail the run: all but CAR's report-only step report.
+    aggregate_holds is None when the aggregate bound was not checked, and
+    opt_misses when no check needed the oracle."""
 
     __slots__ = ()
 
     @property
     def hard_failure(self):
-        return bool(
-            (self.step is not None and self.step_asserted and not self.step.ok)
-            or (self.eviction_audit is not None and not self.eviction_audit.ok)
-            or self.aggregate_holds is False
-            or (self.state is not None and not self.state.ok)
-        )
+        return self.aggregate_holds is False or any(
+            not report.ok for name, report in self.reports.items() if name in self.asserted)
 
     def violation_counts(self):
         """Violations per check name; structural ones are summed under
         state_invariants and a failed aggregate bound counts once."""
         tally = {}
-        for report in filter(None, (self.step, self.eviction_audit)):
-            for check, count in report.counts().items():
-                tally[check] = tally.get(check, 0) + count
+        for report in self.reports.values():
+            for v in report.violations:
+                check = "state_invariants" if v.step == "STATE" else v.check
+                tally[check] = tally.get(check, 0) + 1
         if self.aggregate_holds is False:
             tally["aggregate_bound"] = 1
-        if self.state is not None and not self.state.ok:
-            tally["state_invariants"] = len(self.state.violations)
         return tally
 
 
@@ -905,17 +895,18 @@ def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_C
     reports = {}
     for name, _, found in plan:
         reports.setdefault(name, ViolationReport()).violations.extend(found)
+    if state is not None:
+        reports["state_invariants"] = state
     return Verification(
         spec=spec,
         miss_flags=miss_flags,
         opt_misses=opt_misses if lockstep else None,
         final_potential=entry.phi_after_alg if entry is not None else 0,
-        step=reports.get("step"),
-        step_asserted=spec.step_asserted or fail_on_car_step,
-        eviction_audit=reports.get("eviction_audit"),
+        reports=reports,
+        asserted=tuple(name for name in reports
+                       if name != "step" or spec.step_asserted or fail_on_car_step),
         aggregate_holds=(
             check_aggregate_bound(sum(miss_flags), opt_misses, capacity, spec.bound)
             if "potential" in checks and spec.bound is not None else None
         ),
-        state=state,
     )

@@ -41,6 +41,15 @@ def _add_trace_args(sub):
                      help="seed for --workload specs that omit seed= (default 0)")
 
 
+def _add_run_args(sub, policies, adaptations):
+    sub.add_argument("--policy", required=True, choices=policies)
+    sub.add_argument("--adaptation", choices=adaptations, default=ADAPT_UNIT,
+                     help="arc target adaptation rule (default unit)")
+    sub.add_argument("--cache-size", type=int, required=True, metavar="N")
+    sub.add_argument("--fail-on-car-step", action="store_true",
+                     help="treat CAR per-step findings as hard failures")
+
+
 def _load_trace(args):
     if args.workload is not None:
         spec = parse_workload(args.workload, default_seed=args.seed)
@@ -65,14 +74,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     simulate = sub.add_parser("simulate", help="run one policy over a trace")
-    simulate.add_argument("--policy", required=True, choices=policies + ("opt",))
-    simulate.add_argument("--adaptation", choices=adaptations, default=ADAPT_UNIT,
-                          help="arc target adaptation rule (default unit)")
-    simulate.add_argument("--cache-size", type=int, required=True, metavar="N")
+    _add_run_args(simulate, policies + ("opt",), adaptations)
     simulate.add_argument("--checks", default="",
                           help="comma list from: " + ",".join(analysis.ALL_CHECKS))
-    simulate.add_argument("--fail-on-car-step", action="store_true",
-                          help="treat CAR per-step findings as hard failures")
     simulate.add_argument("--format", choices=FORMATS, default=None)
     _add_trace_args(simulate)
 
@@ -82,10 +86,7 @@ def build_parser():
     _add_trace_args(compare)
 
     verify = sub.add_parser("verify", help="lockstep replay with all checkers; emits JSON")
-    verify.add_argument("--policy", required=True, choices=policies)
-    verify.add_argument("--adaptation", choices=adaptations, default=ADAPT_UNIT)
-    verify.add_argument("--cache-size", type=int, required=True, metavar="N")
-    verify.add_argument("--fail-on-car-step", action="store_true")
+    _add_run_args(verify, policies, adaptations)
     _add_trace_args(verify)
 
     gen = sub.add_parser("gen-trace", help="write a generated workload as trace text")

@@ -39,21 +39,9 @@ class RunReport:
         self.hard_failure = hard_failure
 
     def to_dict(self):
-        return {
-            "policy": self.policy,
-            "adaptation": self.adaptation,
-            "cache_size": self.cache_size,
-            "trace": self.trace,
-            "requests": self.requests,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_ratio": _fraction_str(self.hit_ratio),
-            "opt_misses": self.opt_misses,
-            "miss_to_opt_ratio": _fraction_str(self.miss_to_opt_ratio),
-            "complete_phases": self.complete_phases,
-            "violations": dict(sorted(self.violations.items())),
-            "hard_failure": self.hard_failure,
-        }
+        return dict(vars(self), hit_ratio=_fraction_str(self.hit_ratio),
+                    miss_to_opt_ratio=_fraction_str(self.miss_to_opt_ratio),
+                    violations=dict(sorted(self.violations.items())))
 
 
 def run_simulation(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
@@ -101,10 +89,6 @@ def run_simulation(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
     )
 
 
-def _listing(report):
-    return {"violation_count": len(report.violations), "violations": report.to_dicts()}
-
-
 def verify_trace(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
                  trace_label=None, fail_on_car_step=False):
     """Full verification of one policy run: every check of
@@ -121,11 +105,11 @@ def verify_trace(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
     misses = sum(run.miss_flags)
     c = run.spec.bound
     checks = {}
-    if run.step is not None:
-        checks["step"] = {"mode": "asserted" if run.step_asserted else "report-only",
-                          "bound_multiplier": c, **_listing(run.step)}
-    if run.eviction_audit is not None:
-        checks["eviction_audit"] = _listing(run.eviction_audit)
+    for check, report in run.reports.items():
+        mode = "asserted" if check in run.asserted else "report-only"
+        head = {"mode": mode, "bound_multiplier": c} if check == "step" else {}
+        checks[check] = dict(head, violation_count=len(report.violations),
+                            violations=report.to_dicts())
     if run.aggregate_holds is not None:
         checks["aggregate"] = {
             "bound_multiplier": c,
@@ -135,8 +119,8 @@ def verify_trace(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
             "final_potential": run.final_potential,
             "holds": run.aggregate_holds,
         }
-    if run.state is not None:
-        checks["state_invariants"] = _listing(run.state)
+    if "state_invariants" in checks:  # listed after the aggregate
+        checks["state_invariants"] = checks.pop("state_invariants")
     result = {
         "policy": name,
         "adaptation": run.spec.adaptation,

@@ -691,8 +691,8 @@ def reference_simulation(name, capacity, trace, adaptation, checks, fail_on_car_
         found.append(check_arc_eviction_audit(log))
         hard = hard or not found[-1].ok
     for report in found:
-        for check, count in report.counts().items():
-            violations[check] = violations.get(check, 0) + count
+        for v in report.violations:
+            violations[v.check] = violations.get(v.check, 0) + 1
     if "potential" in checks and not ratio and not check_aggregate_bound(
             log.c_alg_total, log.c_opt_total, capacity, BOUND[kind]):
         violations["aggregate_bound"] = 1
@@ -918,7 +918,7 @@ class TestOneReplayPath:
             flags = [not policy.request(page).was_hit for page in trace]
             run = analysis.run_checks(trace, capacity, row.name, adaptation, checks=())
             assert [bool(flag) for flag in run.miss_flags] == flags
-            assert (run.opt_misses, run.step, run.eviction_audit, run.state) == (None,) * 4
+            assert (run.opt_misses, run.reports, run.asserted) == (None, {}, ())
             misses = sum(flags)
             want = RunReport(
                 policy=row.name, adaptation=row.adaptation, cache_size=capacity,
@@ -935,7 +935,7 @@ class TestOneReplayPath:
         plant_arc_defect(monkeypatch, lambda arc: setattr(arc, "p", arc.capacity + 1))
         trace = gen_fuzz(6, 200, seed=3)
         run = analysis.run_checks(trace, 3, "arc", checks=("invariants",))
-        got = [(v.index, v.check, v.digest) for v in run.state.violations]
+        got = [(v.index, v.check, v.digest) for v in run.reports["state_invariants"].violations]
         want = [(v["index"], v["check"], v["digest"])
                 for v in reference_state_violations("arc", 3, "unit", trace)]
         assert got == want and len(got) >= 1
@@ -1035,7 +1035,7 @@ class TestPolicyTable:
         want = [(i, k + 1, k) for k, i in enumerate(miss_at)]
 
         run = analysis.run_checks(trace, 4, "counted", checks=("lemmas",))
-        assert [(v.index, v.lhs, v.rhs) for v in run.eviction_audit.violations] == want
+        assert [(v.index, v.lhs, v.rhs) for v in run.reports["eviction_audit"].violations] == want
         assert run.hard_failure
         result, hard = verify_trace("counted", 4, trace)
         listing = result["checks"]["eviction_audit"]

@@ -150,7 +150,7 @@ class TestEmitReport:
                 runs.append((line[2:].split(), []))
             else:
                 runs[-1][1].append(line)
-        assert len(runs) == 11
+        assert len(runs) == 17
         for argv, expected in runs:
             assert main(argv) == 0, argv
             assert capsys.readouterr().out == "".join(expected), argv
