@@ -43,11 +43,25 @@ def _add_trace_args(sub):
 
 def _add_run_args(sub, policies, adaptations):
     sub.add_argument("--policy", required=True, choices=policies)
-    sub.add_argument("--adaptation", choices=adaptations, default=ADAPT_UNIT,
+    sub.add_argument("--adaptation", choices=adaptations,
                      help="arc target adaptation rule (default unit)")
     sub.add_argument("--cache-size", type=int, required=True, metavar="N")
     sub.add_argument("--fail-on-car-step", action="store_true",
                      help="treat CAR per-step findings as hard failures")
+
+
+def _check_run_flags(args):
+    """Raise ValueError for a run flag the policy would ignore: only a row
+    with an adaptation rule takes --adaptation, and only a row whose step
+    findings are soft takes --fail-on-car-step (opt's own error names it)."""
+    table = analysis.POLICY_TABLE
+    if args.adaptation and args.policy not in {spec.name for spec in table if spec.adaptation}:
+        raise ValueError("policy %s has no adaptation rule to choose; drop --adaptation"
+                         % args.policy)
+    if args.fail_on_car_step and args.policy in {spec.name for spec in table
+                                                 if spec.step_asserted}:
+        raise ValueError("policy %s has no CAR step findings to fail on; "
+                         "drop --fail-on-car-step" % args.policy)
 
 
 def _load_trace(args):
@@ -111,6 +125,8 @@ def main(argv=None):
                     handle.write(text)
             return 0
 
+        if args.command in ("simulate", "verify"):
+            _check_run_flags(args)
         trace, label = _load_trace(args)
 
         if args.command == "simulate":
@@ -118,7 +134,7 @@ def main(argv=None):
             checks = tuple(name for name in map(str.strip, args.checks.split(",")) if name)
             report = run_simulation(
                 args.policy, args.cache_size, trace,
-                adaptation=args.adaptation, checks=checks, trace_label=label,
+                adaptation=args.adaptation or ADAPT_UNIT, checks=checks, trace_label=label,
                 fail_on_car_step=args.fail_on_car_step,
             )
             sys.stdout.write(emit_report(report, fmt))
@@ -145,7 +161,7 @@ def main(argv=None):
         if args.command == "verify":
             result, hard = verify_trace(
                 args.policy, args.cache_size, trace,
-                adaptation=args.adaptation, trace_label=label,
+                adaptation=args.adaptation or ADAPT_UNIT, trace_label=label,
                 fail_on_car_step=args.fail_on_car_step,
             )
             sys.stdout.write(json.dumps(result, indent=2, sort_keys=False) + "\n")

@@ -32,12 +32,21 @@ def check_page_tokens(pages):
     pages with the same str() form (1 and "1"): their digests would be
     ambiguous. None is rejected too: records read it as "nothing
     evicted". Each distinct page is checked once."""
+    distinct = dict.fromkeys(pages)
+    texts = list(map(str, distinct))
+    # one batch for the usual clean trace: joined by single spaces, the
+    # forms split back into themselves exactly when each is nonempty and
+    # free of whitespace
+    joined = " ".join(texts)
+    if (None not in distinct and joined.split() == texts
+            and not any(c in joined for c in RESERVED_TOKEN_CHARS)
+            and len(set(texts)) == len(texts)):
+        return
     seen = {}
-    for page in dict.fromkeys(pages):
+    for page, text in zip(distinct, texts):
         if page is None:
             raise ValueError("page None cannot be checked: the records use None for "
                              "\"nothing evicted\"")
-        text = str(page)
         if text.split() != [text] or any(c in text for c in RESERVED_TOKEN_CHARS):
             raise ValueError(
                 "page %r does not render unambiguously in a digest: its str() form must be "
@@ -56,11 +65,12 @@ class TraceParseError(ValueError):
 
 
 def parse_trace(data):
-    """Tokens of a trace file: whitespace separated, '#' lines are
-    comments, blank lines are skipped. Accepts bytes or str, and drops
-    one leading byte order mark; invalid UTF-8 raises TraceParseError
-    naming the byte offset, and a token containing one of
-    RESERVED_TOKEN_CHARS raises it naming the token and its line."""
+    """Tokens of a trace file: separated by any Unicode whitespace (every
+    line boundary is whitespace), '#' lines are comments, blank lines are
+    skipped. Accepts bytes or str, and drops one leading byte order mark;
+    invalid UTF-8 raises TraceParseError naming the byte offset, and a
+    token containing one of RESERVED_TOKEN_CHARS raises it naming the
+    token and its line."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -74,6 +84,10 @@ def parse_trace(data):
     text = text.removeprefix("\ufeff")
     # comments may hold reserved characters; scan tokens only if the text does
     check_reserved = any(c in text for c in RESERVED_TOKEN_CHARS)
+    if not check_reserved and "#" not in text:
+        # no comment and no error to place on a line: every line boundary
+        # is whitespace, so one split gives the line walk's tokens
+        return text.split()
     tokens = []
     for number, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import namedtuple
+from itertools import accumulate
 
 _MASK64 = (1 << 64) - 1
+_UNIT = float(1 << 53)  # a unit-interval draw is the top 53 bits over this
 # largest length, universe, k, hot or scan a workload spec may ask for;
 # every generator builds its whole trace, and zipf a table over its universe
 MAX_WORKLOAD_SIZE = 10 ** 7
@@ -32,11 +34,16 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def next_below(self, bound):
-        return self.next_u64() % bound
-
-    def next_unit(self):
-        return (self.next_u64() >> 11) / float(1 << 53)
+    def draws(self, count):
+        """Yield the next count outputs of next_u64: the one draw loop every
+        generator reads, with the state in a local. The state is stored
+        after each draw, so reading only part of it advances by that part."""
+        state = self._state
+        for _ in range(count):
+            self._state = state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            yield z ^ (z >> 31)
 
 
 def gen_cycle(k, length):
@@ -50,8 +57,7 @@ def gen_fuzz(universe, length, seed):
     """Uniform i.i.d. draws from [0, universe)."""
     if universe < 1:
         raise ValueError("universe must be at least 1, got %r" % (universe,))
-    rng = SplitMix64(seed)
-    return [rng.next_below(universe) for _ in range(length)]
+    return [x % universe for x in SplitMix64(seed).draws(length)]
 
 
 def gen_zipf(universe, alpha, length, seed):
@@ -64,20 +70,12 @@ def gen_zipf(universe, alpha, length, seed):
         raise ValueError("universe must be at least 1, got %r" % (universe,))
     if alpha < 0:
         raise ValueError("alpha must be non-negative, got %r" % (alpha,))
-    cumulative = []
-    total = 0.0
-    for rank in range(universe):
-        total += (rank + 1) ** -alpha
-        cumulative.append(total)
-    rng = SplitMix64(seed)
-    trace = []
-    for _ in range(length):
-        u = rng.next_unit() * total
-        page = bisect_right(cumulative, u)
-        if page >= universe:  # guard the u == total edge
-            page = universe - 1
-        trace.append(page)
-    return trace
+    cumulative = list(accumulate((rank + 1) ** -alpha for rank in range(universe)))
+    total = cumulative[-1]
+    # a 53-bit fraction below 1 times total rounds to a double below total,
+    # so bisect never runs past the last bound
+    return [bisect_right(cumulative, (x >> 11) / _UNIT * total)
+            for x in SplitMix64(seed).draws(length)]
 
 
 def gen_scan_mix(hot_set, scan_len, length, seed):
@@ -92,16 +90,15 @@ def gen_scan_mix(hot_set, scan_len, length, seed):
         raise ValueError("hot_set must be at least 1, got %r" % (hot_set,))
     if scan_len < 1:
         raise ValueError("scan_len must be at least 1, got %r" % (scan_len,))
-    rng = SplitMix64(seed)
     burst_len = 2 * scan_len
+    periods, rest = divmod(length, burst_len + scan_len)
+    hot = [x % hot_set for x in
+           SplitMix64(seed).draws(periods * burst_len + min(rest, burst_len))]
     trace = []
-    next_scan_page = hot_set
-    while len(trace) < length:
-        for _ in range(min(burst_len, length - len(trace))):
-            trace.append(rng.next_below(hot_set))
-        for _ in range(min(scan_len, length - len(trace))):
-            trace.append(next_scan_page)
-            next_scan_page += 1
+    for period in range(periods + (rest > 0)):
+        trace += hot[period * burst_len:(period + 1) * burst_len]
+        first = hot_set + period * scan_len  # the last scan may be cut short
+        trace += range(first, first + min(scan_len, length - len(trace)))
     return trace
 
 

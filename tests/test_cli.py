@@ -104,6 +104,37 @@ def test_opt_with_checks_exits_two(capsys, flags):
     assert err == "error: policy opt is the oracle and runs no checks; drop %s\n" % flags[0]
 
 
+RUN_FLAG_ERRORS = {
+    "--adaptation": "policy %s has no adaptation rule to choose; drop --adaptation\n",
+    "--fail-on-car-step": "policy %s has no CAR step findings to fail on; "
+                          "drop --fail-on-car-step\n",
+}
+
+
+@pytest.mark.parametrize("command,policy,flags", [
+    (command, policy, flags)
+    for command in ("simulate", "verify")
+    for policy, flags in [("lru", ("--adaptation", "unit")), ("clock", ("--adaptation", "ratio")),
+                          ("car", ("--adaptation", "unit")), ("car", ("--adaptation", "ratio")),
+                          ("lru", ("--fail-on-car-step",)), ("clock", ("--fail-on-car-step",)),
+                          ("arc", ("--fail-on-car-step",)),
+                          ("opt", ("--adaptation", "unit"))]
+    if command == "simulate" or policy != "opt"
+])
+def test_run_flags_the_policy_would_ignore_exit_two(capsys, command, policy, flags):
+    code, out, err = run_cli(capsys, command, "--policy", policy, "--cache-size", "3",
+                             "--workload", "cycle:k=4,length=20", *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: " + RUN_FLAG_ERRORS[flags[0]] % policy
+
+
+def test_arc_without_adaptation_runs_unit(capsys):
+    argv = ("verify", "--policy", "arc", "--cache-size", "3", "--workload", "cycle:k=4,length=20")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and json.loads(out)["adaptation"] == "unit"
+    assert run_cli(capsys, *argv, "--adaptation", "unit") == (0, out, "")
+
+
 def test_compare_exits_zero_where_car_has_step_findings(capsys):
     workload = "fuzz:universe=10,length=2000,seed=5"
     code, out, _ = run_cli(capsys, "verify", "--policy", "car", "--cache-size", "3",

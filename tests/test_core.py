@@ -14,7 +14,13 @@ from cachelab import (
     gen_fuzz,
     make_policy,
 )
-from cachelab.core import render_state
+from cachelab.core import (
+    RESERVED_TOKEN_CHARS,
+    TraceParseError,
+    check_page_tokens,
+    parse_trace,
+    render_state,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -182,3 +188,97 @@ def golden_kinds_lines():
 def test_digest_golden_file_for_every_kind():
     expected = (DATA / "digests_golden_kinds.txt").read_text().splitlines()
     assert golden_kinds_lines() == expected
+
+
+# ---------------------------------------------------------------------------
+# ingestion: the one-pass paths against the per-line and per-page loops
+# they replaced, kept here as references
+
+
+def reference_parse_trace(text):
+    """The line walk over decoded text, as parse_trace once ran it."""
+    text = text.removeprefix("\ufeff")
+    check_reserved = any(c in text for c in RESERVED_TOKEN_CHARS)
+    tokens = []
+    for number, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        words = stripped.split()
+        if check_reserved:
+            for word in words:
+                if any(c in word for c in RESERVED_TOKEN_CHARS):
+                    raise TraceParseError(
+                        "trace token %r on line %d contains one of the reserved characters %s"
+                        % (word, number, RESERVED_TOKEN_CHARS)
+                    )
+        tokens.extend(words)
+    return tokens
+
+
+def reference_check_page_tokens(pages):
+    """The page-by-page check, as check_page_tokens once ran it."""
+    seen = {}
+    for page in dict.fromkeys(pages):
+        if page is None:
+            raise ValueError("page None cannot be checked: the records use None for "
+                             "\"nothing evicted\"")
+        text = str(page)
+        if text.split() != [text] or any(c in text for c in RESERVED_TOKEN_CHARS):
+            raise ValueError(
+                "page %r does not render unambiguously in a digest: its str() form must be "
+                "nonempty and hold no whitespace and none of %s" % (page, RESERVED_TOKEN_CHARS)
+            )
+        if text in seen:
+            raise ValueError(
+                "pages %r and %r do not render unambiguously in a digest: both have the "
+                "str() form %r" % (seen[text], page, text)
+            )
+        seen[text] = page
+
+
+def outcome(function, argument, error):
+    """function(argument), or the message of the error it raised."""
+    try:
+        return function(argument)
+    except error as exc:
+        return ("raised", type(exc), str(exc))
+
+
+# every line boundary str.splitlines knows, and whitespace that is not one
+SEPARATORS = [" ", "\t", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f",
+              "\x85", "\u2028", "\u2029", "\xa0", "\u3000"]
+TRACE_PIECES = ["1", "22", "a", "#", "# note", "\ufeff"] + list(RESERVED_TOKEN_CHARS) + SEPARATORS
+
+
+@settings(max_examples=400, deadline=None)
+@given(pieces=st.lists(st.sampled_from(TRACE_PIECES), max_size=40))
+def test_parse_trace_matches_the_line_walk(pieces):
+    text = "".join(pieces)
+    want = outcome(reference_parse_trace, text, TraceParseError)
+    assert outcome(parse_trace, text, TraceParseError) == want
+    assert outcome(parse_trace, text.encode(), TraceParseError) == want
+
+
+@pytest.mark.parametrize("separator", SEPARATORS)
+def test_every_unicode_whitespace_separates_tokens(separator):
+    text = "1%s2%s%s3" % (separator, separator, separator)
+    assert parse_trace(text) == reference_parse_trace(text) == ["1", "2", "3"]
+
+
+PAGE_TEXTS = ["1", "2", "a", "", "a b", "c\u3000d", "\x85", "5*", "x,y", "[", "]", "None", "\ufeff"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(pages=st.lists(st.one_of(st.integers(min_value=-2, max_value=3),
+                                st.sampled_from(PAGE_TEXTS), st.none()), max_size=12))
+def test_check_page_tokens_matches_the_page_walk(pages):
+    want = outcome(reference_check_page_tokens, pages, ValueError)
+    assert outcome(check_page_tokens, pages, ValueError) == want
+
+
+@pytest.mark.parametrize("pages", [[1, "1"], ["1", 2, 1], [None], ["a", "a b"], ["", 1],
+                                   [1, 2, "5*"], [True, 1, "True"], ["a b", ""], []])
+def test_check_page_tokens_names_the_first_offender(pages):
+    want = outcome(reference_check_page_tokens, pages, ValueError)
+    assert outcome(check_page_tokens, pages, ValueError) == want

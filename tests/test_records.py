@@ -72,7 +72,7 @@ def test_loading_a_trace_loads_only_core_and_workloads():
         "cachelab.parse_workload('zipf:universe=50,alpha=0.9,length=100,seed=1').generate()\n"
         "assert cachelab.parse_trace(b'1 2 3') == ['1', '2', '3']\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cachelab'))\n"
-        "print(sorted({'json', 'fractions'} & set(sys.modules)))\n"
+        "print(sorted({'json', 'fractions', 're'} & set(sys.modules)))\n"
     )
     assert out == "['cachelab', 'cachelab.core', 'cachelab.workloads']\n[]\n"
 
