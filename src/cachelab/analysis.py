@@ -10,6 +10,12 @@ request by request, that the policy's cost plus the change in potential
 stays within the bound multiplier times the optimal cost. All arithmetic
 is integer; there are no tolerances.
 
+Each row's potential is the dot product of a feature vector with integer
+coefficients. The row's tracker class names the features and their
+coefficients once; the tracker computes the vector from what it keeps up
+to date, the from-scratch reference by rescanning the policy, and both
+hand their inputs to the same feature assembly.
+
 Position conventions used by the ring potentials: a ring page's position
 is its sweep distance, i.e. how many pages the hand must pass to reach it
 (head = 1, tail = ring size). A history page's position counts from the
@@ -21,6 +27,7 @@ accounting close.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul
 
 from .arc import ADAPT_RATIO, ADAPT_UNIT, ArcCache
 from .car import CarCache
@@ -65,6 +72,11 @@ def partition_phases(miss_flags, capacity):
 # potentials
 
 
+def _dot(coefficients, features):
+    """phi: the sum of coefficient x feature over a row's features."""
+    return sum(map(mul, coefficients, features))
+
+
 class PrefixSizes(namedtuple("PrefixSizes", "t1 t2 b1 b2 l1 l2")):
     """Sizes of the longest MRU prefixes wholly inside the oracle cache.
 
@@ -76,50 +88,46 @@ class PrefixSizes(namedtuple("PrefixSizes", "t1 t2 b1 b2 l1 l2")):
     __slots__ = ()
 
 
-def _prefix_len(pages, opt_cache):
-    n = 0
-    for page in pages:
-        if page not in opt_cache:
-            break
-        n += 1
-    return n
-
-
-def mru_prefix_sizes(arc, opt_cache):
-    """Audit an ARC state against the oracle cache (see PrefixSizes)."""
-    _, t1, t2, b1, b2 = arc.state()
-    l1 = _prefix_len(t1 + b1, opt_cache)
-    l2 = _prefix_len(t2 + b2, opt_cache)
-    t1p = min(l1, len(t1))
-    t2p = min(l2, len(t2))
-    return PrefixSizes(t1=t1p, t2=t2p, b1=l1 - t1p, b2=l2 - t2p, l1=l1, l2=l2)
-
-
 class PotentialBreakdown(namedtuple("PotentialBreakdown", "phi terms audit", defaults=(None,))):
-    """A potential value, its named additive terms ((name, value) pairs,
+    """A potential value, its terms ((name, coefficient x feature) pairs,
     phi == sum) and its audit."""
 
     __slots__ = ()
 
 
-def arc_potential(arc, opt_cache):
-    """Weighted audit of how much of ARC's directory the oracle shares.
+def _breakdown(tracker, features, audit):
+    """The PotentialBreakdown of a feature vector under a tracker class's
+    row."""
+    coefficients = tracker.coefficients
+    return PotentialBreakdown(_dot(coefficients, features),
+                              tuple(zip(tracker.names, map(mul, coefficients, features))), audit)
 
-    phi = p - [(b1' - t) + 2(t1' - t) + 3(b2' - t) + 4(t2' - t)] with
-    t = |T1|+|T2| and primed sizes from mru_prefix_sizes. Deeper overlap
-    (larger primed sizes) lowers the potential.
+
+def _prefix_len(opt_cache, *lists):
+    """How many pages of lists, walked first to last, the oracle cache holds
+    before the first it does not."""
+    n = 0
+    for pages in lists:
+        for page in pages:
+            if page not in opt_cache:
+                return n
+            n += 1
+    return n
+
+
+def arc_potential(arc, opt_cache):
+    """Weighted audit of how much of ARC's directory the oracle shares:
+    _ArcTracker's row, with the MRU prefixes walked in arc.state(). Deeper
+    overlap (larger primed sizes) lowers the potential.
     """
-    pre = mru_prefix_sizes(arc, opt_cache)
-    t = len(arc.t1) + len(arc.t2)
-    terms = (
-        ("p", arc.p),
-        ("b1_prime", -(pre.b1 - t)),
-        ("t1_prime", -2 * (pre.t1 - t)),
-        ("b2_prime", -3 * (pre.b2 - t)),
-        ("t2_prime", -4 * (pre.t2 - t)),
-    )
-    sizes = (len(arc.t1), len(arc.t2), len(arc.b1), len(arc.b2))
-    return PotentialBreakdown(phi=sum(v for _, v in terms), terms=terms, audit=(pre, sizes))
+    _, t1, t2, b1, b2 = arc.state()
+    return _breakdown(_ArcTracker, *_ArcTracker.prefix_features(
+        arc, _prefix_len(opt_cache, t1, b1), _prefix_len(opt_cache, t2, b2)))
+
+
+def mru_prefix_sizes(arc, opt_cache):
+    """Audit an ARC state against the oracle cache (see PrefixSizes)."""
+    return arc_potential(arc, opt_cache).audit[0]
 
 
 def clock_potential(clock, opt_cache):
@@ -127,68 +135,25 @@ def clock_potential(clock, opt_cache):
 
     An unmarked page contributes its position (head = 1); a marked page
     contributes capacity + position since the hand must sweep past it
-    once more. Pages in the oracle cache contribute 0.
+    once more. Pages in the oracle cache contribute 0. Computed by a
+    tracker built on the live ring, which ranks it from scratch.
     """
-    ring = clock.ring
-    phi = 0
-    pos = 0
-    for page in ring:
-        pos += 1
-        if page in opt_cache:
-            continue
-        phi += pos + (clock.capacity if clock.marks[page] else 0)
-    return PotentialBreakdown(phi=phi, terms=(("sum_r", phi),))
-
-
-def car_sweep_ranks(car, opt_cache):
-    """Sum of R-values over directory pages outside the oracle cache.
-
-    Ghost pages score their discard distance (LRU = 1). Ring pages score
-    twice their sweep rank plus the ghost-list size on their side, plus
-    3*capacity when marked.
-    """
-    n = car.capacity
-    b1_len = len(car.b1)
-    b2_len = len(car.b2)
-    total = 0
-    pos = 0
-    for page in car.t1:
-        pos += 1
-        if page in opt_cache:
-            continue
-        total += 2 * pos + b1_len + (3 * n if car.marks[page] else 0)
-    pos = 0
-    for page in car.t2:
-        pos += 1
-        if page in opt_cache:
-            continue
-        total += 2 * pos + b2_len + (3 * n if car.marks[page] else 0)
-    for ghosts in (car.b1, car.b2):
-        pos = 0
-        for page in ghosts:  # OrderedDict iterates LRU -> MRU
-            pos += 1
-            if page not in opt_cache:
-                total += pos
-    return total
+    return _breakdown(_ClockTracker, *_ClockTracker(clock, opt_cache).features())
 
 
 def car_potential(car, opt_cache):
-    """phi = p + 2(|B1|+|T1|) - 3|U| + 3 * sum of sweep ranks, where U is
-    the set of cached pages the oracle also holds."""
-    shared = sum(1 for page in car.marks if page in opt_cache)
-    sum_r = car_sweep_ranks(car, opt_cache)
-    terms = (
-        ("p", car.p),
-        ("l1_resident", 2 * (len(car.b1) + len(car.t1))),
-        ("shared", -3 * shared),
-        ("sum_r", 3 * sum_r),
-    )
-    return PotentialBreakdown(phi=sum(v for _, v in terms), terms=terms, audit=3 * sum_r)
+    """CAR's potential (see _CarTracker), computed by a tracker built on the
+    live lists, which ranks them from scratch."""
+    return _breakdown(_CarTracker, *_CarTracker(car, opt_cache).features())
+
+
+def _lru_potential(lru, opt_cache):
+    """LRU's potential: the empty feature vector, so phi = 0."""
+    return _breakdown(_Tracker, (), None)
 
 
 def potential_for(policy):
-    """The from-scratch potential of a policy's row, None for a policy
-    whose potential is 0 (LRU)."""
+    """The from-scratch potential of a policy's row."""
     return _spec_for(policy.kind, policy.adaptation).potential
 
 
@@ -215,15 +180,20 @@ class _RankedList:
     the middle. Over the pages outside the oracle cache it keeps their
     rank sum, their count and how many are marked. Appends are numbered
     so that the pages newer than a removed one can be found; a rank is
-    counted by walking from the newest end.
+    counted by walking from the newest end. A new ranked list counts the
+    pages already in the list from scratch, against opt_cache and marks.
     """
 
     __slots__ = ("pages", "stamps", "appended", "position_sum", "outside", "outside_marked")
 
-    def __init__(self, pages):
+    def __init__(self, pages, opt_cache, marks):
         self.pages = pages
         self.stamps = {}
         self.appended = self.position_sum = self.outside = self.outside_marked = 0
+        for page in pages:
+            outside = page not in opt_cache
+            self.append(page, outside)
+            self.outside_marked += outside and marks.get(page, False)
 
     def append(self, page, outside):
         self.appended += 1
@@ -265,14 +235,20 @@ class _RankedList:
 
 class _Tracker:
     """A potential tracker: opt_step follows an oracle miss, alg_step the
-    policy's request, and value() gives (phi, audit). The audit is
-    whatever the row's per-entry checks read besides phi, None where they
-    read nothing; the lockstep entry stores it after each half-step
-    without looking inside. This base class is LRU's zero potential."""
+    policy's request, and features() gives the row's feature vector and
+    its audit. names and coefficients are the row's features and their
+    weights, and value() gives (phi, audit). The audit is whatever the
+    row's per-entry checks read besides phi, None where they read
+    nothing; the lockstep entry stores it after each half-step without
+    looking inside. A tracker built on a policy that has served requests
+    counts its state from scratch against opt_cache. This base class is
+    LRU's zero potential: no features."""
 
-    def __init__(self, policy):
+    names = coefficients = ()
+
+    def __init__(self, policy, opt_cache=frozenset()):
         self.policy = policy
-        self.opt_cache = frozenset()
+        self.opt_cache = opt_cache
 
     def opt_step(self, admitted, evicted, opt_cache):
         self.opt_cache = opt_cache
@@ -280,8 +256,12 @@ class _Tracker:
     def alg_step(self, page, outcome):
         pass
 
+    def features(self):
+        return (), None
+
     def value(self):
-        return 0, None
+        features, audit = self.features()
+        return _dot(self.coefficients, features), audit
 
 
 class _RingTracker(_Tracker):
@@ -289,13 +269,14 @@ class _RingTracker(_Tracker):
     B2), a ranked list each, reading marks from policy.marks. alg_step
     replays the moves in the policy's order: sweeps to the last ring, the
     demotion, the history drop, the ghost-hit removal, then the admission
-    (to the last ring on a ghost hit). Subclasses set value()."""
+    (to the last ring on a ghost hit). Subclasses write features() from
+    the ranked lists; the from-scratch potentials are fresh trackers."""
 
-    def __init__(self, policy, rings, ghosts):
-        super().__init__(policy)
-        self.rings = tuple(_RankedList(pages) for pages in rings)
-        self.ghosts = dict(zip(("B1", "B2"), map(_RankedList, ghosts)))
-        self.lists = self.rings + tuple(self.ghosts.values())
+    def __init__(self, policy, opt_cache, rings, ghosts):
+        super().__init__(policy, opt_cache)
+        self.lists = tuple(_RankedList(pages, opt_cache, policy.marks) for pages in rings + ghosts)
+        self.rings = self.lists[:len(rings)]
+        self.ghosts = dict(zip(("B1", "B2"), self.lists[len(rings):]))
 
     def _holder(self, page):
         for ranked in self.lists:
@@ -332,35 +313,46 @@ class _RingTracker(_Tracker):
 
 
 class _ClockTracker(_RingTracker):
-    """clock_potential: the ring's position sum plus capacity per marked
-    page, over pages outside the oracle cache."""
+    """clock_potential: over ring pages outside the oracle cache, their
+    rank sum and capacity times their marked count."""
 
-    def __init__(self, clock):
-        super().__init__(clock, (clock.ring,), ())
+    names = ("rank_sum", "marked")
+    coefficients = (1, 1)
 
-    def value(self):
-        ring = self.rings[0]
-        return ring.position_sum + self.policy.capacity * ring.outside_marked, None
+    def __init__(self, clock, opt_cache=frozenset()):
+        super().__init__(clock, opt_cache, (clock.ring,), ())
+
+    def features(self):
+        ring = self.lists[0]
+        return (ring.position_sum, self.policy.capacity * ring.outside_marked), None
 
 
 class _CarTracker(_RingTracker):
-    """car_potential from the ranked lists of T1, T2, B1 and B2; the audit
-    is the term 3 * sum_r."""
+    """car_potential from the ranks of T1, T2, B1 and B2: it weighs p,
+    |B1|+|T1|, the count of cached pages the oracle also holds, and then,
+    in seven features, the sum of R-values over directory pages outside
+    the oracle cache. A ghost page's R is its discard distance (LRU = 1),
+    and a ring page's is twice its sweep rank plus the ghost list size on
+    its side, plus 3*capacity when marked. The audit is the dot product
+    of those seven, 3 * sum of R."""
 
-    def __init__(self, car):
-        super().__init__(car, (car.t1, car.t2), (car.b1, car.b2))
+    names = ("p", "l1_resident", "shared", "t1_rank_sum", "t1_outside_b1", "t2_rank_sum",
+             "t2_outside_b2", "marked", "b1_rank_sum", "b2_rank_sum")
+    coefficients = (1, 2, -3, 6, 3, 6, 3, 9, 3, 3)
+    sweep_coefficients = coefficients[3:]
 
-    def value(self):
+    def __init__(self, car, opt_cache=frozenset()):
+        super().__init__(car, opt_cache, (car.t1, car.t2), (car.b1, car.b2))
+
+    def features(self):
         car = self.policy
         t1, t2, b1, b2 = self.lists
         b1_len, b2_len = len(car.b1), len(car.b2)
-        sum_r = (2 * t1.position_sum + t1.outside * b1_len
-                 + 2 * t2.position_sum + t2.outside * b2_len
-                 + 3 * car.capacity * (t1.outside_marked + t2.outside_marked)
-                 + b1.position_sum + b2.position_sum)
-        shared = len(car.marks) - t1.outside - t2.outside
-        phi = car.p + 2 * (b1_len + len(car.t1)) - 3 * shared + 3 * sum_r
-        return phi, 3 * sum_r
+        sweep = (t1.position_sum, t1.outside * b1_len, t2.position_sum, t2.outside * b2_len,
+                 car.capacity * (t1.outside_marked + t2.outside_marked),
+                 b1.position_sum, b2.position_sum)
+        head = (car.p, b1_len + len(car.t1), len(car.marks) - t1.outside - t2.outside)
+        return head + sweep, _dot(self.sweep_coefficients, sweep)
 
 
 class _ArcTracker(_Tracker):
@@ -369,26 +361,23 @@ class _ArcTracker(_Tracker):
     PrefixSizes and the list sizes (|T1|, |T2|, |B1|, |B2|) the eviction
     audit reads."""
 
-    def value(self):
+    names = ("p", "t", "b1_prime", "t1_prime", "b2_prime", "t2_prime")
+    coefficients = (1, 10, -1, -2, -3, -4)
+
+    def features(self):
         arc, opt_cache = self.policy, self.opt_cache
-        t1_len, t2_len = len(arc.t1), len(arc.t2)
-        l1 = _mru_prefix(arc.t1, arc.b1, opt_cache)
-        l2 = _mru_prefix(arc.t2, arc.b2, opt_cache)
-        t1p, t2p = min(l1, t1_len), min(l2, t2_len)
-        t = t1_len + t2_len
-        phi = arc.p - ((l1 - t1p - t) + 2 * (t1p - t) + 3 * (l2 - t2p - t) + 4 * (t2p - t))
-        sizes = (t1_len, t2_len, len(arc.b1), len(arc.b2))
-        return phi, (PrefixSizes(t1p, t2p, l1 - t1p, l2 - t2p, l1, l2), sizes)
+        return self.prefix_features(
+            arc, _prefix_len(opt_cache, reversed(arc.t1), reversed(arc.b1)),
+            _prefix_len(opt_cache, reversed(arc.t2), reversed(arc.b2)))
 
-
-def _mru_prefix(cached, ghosts, opt_cache):
-    n = 0
-    for pages in (cached, ghosts):
-        for page in reversed(pages):
-            if page not in opt_cache:
-                return n
-            n += 1
-    return n
+    @staticmethod
+    def prefix_features(arc, l1, l2):
+        """The feature vector and audit of an ARC state whose MRU prefixes
+        inside the oracle cache hold l1 pages of T1+B1 and l2 of T2+B2."""
+        sizes = t1, t2, _, _ = len(arc.t1), len(arc.t2), len(arc.b1), len(arc.b2)
+        t1p, t2p = min(l1, t1), min(l2, t2)
+        return ((arc.p, t1 + t2, l1 - t1p, t1p, l2 - t2p, t2p),
+                (PrefixSizes(t1p, t2p, l1 - t1p, l2 - t2p, l1, l2), sizes))
 
 
 def potential_tracker(policy):
@@ -755,7 +744,7 @@ class PolicySpec(namedtuple(
 # Adding a policy: its class (core.Policy) and one row here; the CLI,
 # compare and every check read this table.
 POLICY_TABLE = (
-    PolicySpec("lru", None, LruCache, 1, None, _Tracker, None, (), (), False, True),
+    PolicySpec("lru", None, LruCache, 1, _lru_potential, _Tracker, None, (), (), False, True),
     PolicySpec("clock", None, ClockCache, 2, clock_potential, _ClockTracker, None,
                (_step_findings,), (), False, True),
     PolicySpec("arc", ADAPT_UNIT, ArcCache, 4, arc_potential, _ArcTracker, check_arc_structure,

@@ -1,6 +1,7 @@
 import itertools
 from collections import OrderedDict, deque
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,14 +146,14 @@ class TestCarPotential:
         car.b1 = OrderedDict([("q", True)])
         breakdown = car_potential(car, set())
         assert breakdown.phi == 5
-        assert dict(breakdown.terms)["sum_r"] == 3
+        assert breakdown.audit == 3
 
     def test_marked_ring_page(self):
         car = CarCache(2)
         car.t1.append("q")
         car.marks["q"] = True
         breakdown = car_potential(car, set())
-        assert dict(breakdown.terms)["sum_r"] == 24  # R = 3*2 + 2*1 + 0 = 8
+        assert breakdown.audit == 24  # R = 3*2 + 2*1 + 0 = 8
         assert breakdown.phi == 26
 
 
@@ -428,17 +429,26 @@ CORPUS = [
 
 
 def reference_potential(policy, opt_cache):
-    """The from-scratch potential; a policy without one has phi = 0."""
-    potential = analysis.potential_for(policy)
-    if potential is None:
-        return PotentialBreakdown(phi=0, terms=())
-    return potential(policy, opt_cache)
+    """The from-scratch potential of the policy's row."""
+    return analysis.potential_for(policy)(policy, opt_cache)
 
 
 def reference_value(policy, opt_cache):
     """(phi, audit) from the from-scratch potential."""
     breakdown = reference_potential(policy, opt_cache)
     return breakdown.phi, breakdown.audit
+
+
+def assert_tracker_agrees(tracker, policy, opt_cache, where):
+    """The tracker's feature vector, term by term, and its (phi, audit)
+    equal the from-scratch potential's."""
+    reference = reference_potential(policy, opt_cache)
+    features, audit = tracker.features()
+    assert len(features) == len(tracker.names) == len(tracker.coefficients), where
+    terms = tuple(zip(tracker.names, map(mul, tracker.coefficients, features)))
+    assert terms == reference.terms, where
+    assert audit == reference.audit, where
+    assert tracker.value() == (reference.phi, reference.audit), where
 
 
 def tracked_replay(trace, capacity, name, adaptation="unit"):
@@ -448,15 +458,15 @@ def tracked_replay(trace, capacity, name, adaptation="unit"):
     policy) after each request."""
     policy = make_policy(name, capacity, adaptation)
     tracker = analysis.potential_tracker(policy)
-    assert tracker.value() == reference_value(policy, frozenset())
+    assert_tracker_agrees(tracker, policy, frozenset(), "start")
     for i, (page, step) in enumerate(zip(trace, belady_run(trace, capacity).steps)):
         before = policy.digest()
         if not step.was_hit:
             tracker.opt_step(page, step.evicted, step.cache_after)
-        assert tracker.value() == reference_value(policy, step.cache_after), (i, "OPT", before)
+        assert_tracker_agrees(tracker, policy, step.cache_after, (i, "OPT", before))
         outcome = policy.request(page)
         tracker.alg_step(page, outcome)
-        assert tracker.value() == reference_value(policy, step.cache_after), (i, "ALG", before)
+        assert_tracker_agrees(tracker, policy, step.cache_after, (i, "ALG", before))
         yield page, outcome, step.cache_after, policy
 
 
@@ -586,14 +596,130 @@ class TestPotentialTrackers:
         assert log.entries == reference_lockstep(trace, 6, "arc", adaptation="ratio")
 
 
+# ---------------------------------------------------------------------------
+# the feature vectors against closed forms
+#
+# Each potential written out as one expression, independent of the feature
+# vectors, their coefficients and the ranked lists: a wrong coefficient or
+# feature shows as a different phi or audit.
+
+
+def closed_form_prefix_sizes(arc, opt_cache):
+    def prefix_len(pages):
+        n = 0
+        for page in pages:
+            if page not in opt_cache:
+                break
+            n += 1
+        return n
+
+    _, t1, t2, b1, b2 = arc.state()
+    l1 = prefix_len(t1 + b1)
+    l2 = prefix_len(t2 + b2)
+    t1p = min(l1, len(t1))
+    t2p = min(l2, len(t2))
+    return PrefixSizes(t1=t1p, t2=t2p, b1=l1 - t1p, b2=l2 - t2p, l1=l1, l2=l2)
+
+
+def closed_form_arc(arc, opt_cache):
+    pre = closed_form_prefix_sizes(arc, opt_cache)
+    t = len(arc.t1) + len(arc.t2)
+    phi = arc.p - ((pre.b1 - t) + 2 * (pre.t1 - t) + 3 * (pre.b2 - t) + 4 * (pre.t2 - t))
+    return phi, (pre, (len(arc.t1), len(arc.t2), len(arc.b1), len(arc.b2)))
+
+
+def closed_form_clock(clock, opt_cache):
+    phi = 0
+    pos = 0
+    for page in clock.ring:
+        pos += 1
+        if page in opt_cache:
+            continue
+        phi += pos + (clock.capacity if clock.marks[page] else 0)
+    return phi, None
+
+
+def closed_form_car_sweep_ranks(car, opt_cache):
+    n = car.capacity
+    b1_len = len(car.b1)
+    b2_len = len(car.b2)
+    total = 0
+    pos = 0
+    for page in car.t1:
+        pos += 1
+        if page in opt_cache:
+            continue
+        total += 2 * pos + b1_len + (3 * n if car.marks[page] else 0)
+    pos = 0
+    for page in car.t2:
+        pos += 1
+        if page in opt_cache:
+            continue
+        total += 2 * pos + b2_len + (3 * n if car.marks[page] else 0)
+    for ghosts in (car.b1, car.b2):
+        pos = 0
+        for page in ghosts:
+            pos += 1
+            if page not in opt_cache:
+                total += pos
+    return total
+
+
+def closed_form_car(car, opt_cache):
+    shared = sum(1 for page in car.marks if page in opt_cache)
+    sum_r = closed_form_car_sweep_ranks(car, opt_cache)
+    phi = car.p + 2 * (len(car.b1) + len(car.t1)) - 3 * shared + 3 * sum_r
+    return phi, 3 * sum_r
+
+
+CLOSED_FORMS = {"CLOCK": closed_form_clock, "ARC": closed_form_arc, "CAR": closed_form_car}
+
+
+def assert_closed_forms_agree(trace, capacity, name, adaptation):
+    """phi and the audit after both half-steps of every lockstep entry, and
+    from the from-scratch potential, equal the closed forms'."""
+    policy = make_policy(name, capacity, adaptation)
+    closed_form = CLOSED_FORMS[policy.kind]
+    assert reference_value(policy, frozenset()) == closed_form(policy, frozenset())
+    for entry in run_lockstep(trace, capacity, name, adaptation).entries:
+        want = closed_form(policy, entry.opt_cache)
+        assert (entry.phi_after_opt, entry.audit_opt) == want, (entry.index, "OPT")
+        assert reference_value(policy, entry.opt_cache) == want, (entry.index, "OPT")
+        policy.request(entry.page)
+        want = closed_form(policy, entry.opt_cache)
+        assert (entry.phi_after_alg, entry.audit_alg) == want, (entry.index, "ALG")
+        assert reference_value(policy, entry.opt_cache) == want, (entry.index, "ALG")
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("spec", CORPUS)
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 8])
+    def test_agree_on_the_corpus(self, spec, capacity):
+        trace = parse_workload(spec).generate()
+        for name, adaptation in POLICIES[1:]:
+            assert_closed_forms_agree(trace, capacity, name, adaptation)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace=st.lists(st.integers(min_value=0, max_value=9), max_size=80),
+           capacity=st.integers(min_value=1, max_value=5),
+           policy=st.sampled_from(POLICIES[1:]))
+    def test_agree_on_random_traces(self, trace, capacity, policy):
+        assert_closed_forms_agree(trace, capacity, *policy)
+
+    def test_lru_has_no_features(self):
+        lru = make_policy("lru", 2)
+        lru.request(1)
+        assert reference_potential(lru, frozenset([2])) == PotentialBreakdown(0, (), None)
+
+
 class TestCheckedPathUsesTrackers:
     @pytest.mark.parametrize("name", ["clock", "arc", "car"])
     def test_checked_runs_never_call_the_reference_potentials(self, monkeypatch, name):
         def unexpected(*args):
             raise AssertionError("a from-scratch potential was called")
 
-        for reference in ("clock_potential", "car_potential", "arc_potential",
-                        "mru_prefix_sizes", "car_sweep_ranks", "potential_for"):
+        for reference in ("clock_potential", "car_potential", "arc_potential", "_lru_potential",
+                          "mru_prefix_sizes", "_breakdown", "potential_for"):
             monkeypatch.setattr(analysis, reference, unexpected)
         # the table rows hold the potentials themselves
         monkeypatch.setattr(analysis, "POLICY_TABLE", tuple(
