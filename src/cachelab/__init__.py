@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arc": "ADAPT_RATIO ADAPT_UNIT ArcCache",
     "analysis": """LockstepLog Phase PotentialBreakdown PrefixSizes Verification Violation
-        ViolationReport arc_potential car_potential car_step_report check_aggregate_bound
-        check_arc_eviction_audit check_arc_structure check_car_invariants
-        check_step_inequalities clock_potential make_policy mru_prefix_sizes
+        ViolationReport car_step_report check_aggregate_bound check_arc_eviction_audit
+        check_arc_structure check_car_invariants check_step_inequalities make_policy
         partition_phases run_checks run_lockstep""",
     "car": "CarCache",
     "classic": "ClockCache LruCache",

@@ -11,10 +11,10 @@ stays within the bound multiplier times the optimal cost. All arithmetic
 is integer; there are no tolerances.
 
 Each row's potential is the dot product of a feature vector with integer
-coefficients. The row's tracker class names the features and their
-coefficients once; the tracker computes the vector from what it keeps up
-to date, the from-scratch reference by rescanning the policy, and both
-hand their inputs to the same feature assembly.
+coefficients, and it lives only in the row's tracker class, which names
+the features and their coefficients once. The lockstep pass keeps one
+tracker up to date request by request; potential_for, the from-scratch
+reference, builds the row's tracker fresh on the live policy.
 
 Position conventions used by the ring potentials: a ring page's position
 is its sweep distance, i.e. how many pages the hand must pass to reach it
@@ -95,14 +95,6 @@ class PotentialBreakdown(namedtuple("PotentialBreakdown", "phi terms audit", def
     __slots__ = ()
 
 
-def _breakdown(tracker, features, audit):
-    """The PotentialBreakdown of a feature vector under a tracker class's
-    row."""
-    coefficients = tracker.coefficients
-    return PotentialBreakdown(_dot(coefficients, features),
-                              tuple(zip(tracker.names, map(mul, coefficients, features))), audit)
-
-
 def _prefix_len(opt_cache, *lists):
     """How many pages of lists, walked first to last, the oracle cache holds
     before the first it does not."""
@@ -115,53 +107,28 @@ def _prefix_len(opt_cache, *lists):
     return n
 
 
-def arc_potential(arc, opt_cache):
-    """Weighted audit of how much of ARC's directory the oracle shares:
-    _ArcTracker's row, with the MRU prefixes walked in arc.state(). Deeper
-    overlap (larger primed sizes) lowers the potential.
-    """
-    _, t1, t2, b1, b2 = arc.state()
-    return _breakdown(_ArcTracker, *_ArcTracker.prefix_features(
-        arc, _prefix_len(opt_cache, t1, b1), _prefix_len(opt_cache, t2, b2)))
-
-
-def mru_prefix_sizes(arc, opt_cache):
-    """Audit an ARC state against the oracle cache (see PrefixSizes)."""
-    return arc_potential(arc, opt_cache).audit[0]
-
-
-def clock_potential(clock, opt_cache):
-    """Sum of sweep ranks of ring pages the oracle does not hold.
-
-    An unmarked page contributes its position (head = 1); a marked page
-    contributes capacity + position since the hand must sweep past it
-    once more. Pages in the oracle cache contribute 0. Computed by a
-    tracker built on the live ring, which ranks it from scratch.
-    """
-    return _breakdown(_ClockTracker, *_ClockTracker(clock, opt_cache).features())
-
-
-def car_potential(car, opt_cache):
-    """CAR's potential (see _CarTracker), computed by a tracker built on the
-    live lists, which ranks them from scratch."""
-    return _breakdown(_CarTracker, *_CarTracker(car, opt_cache).features())
-
-
-def _lru_potential(lru, opt_cache):
-    """LRU's potential: the empty feature vector, so phi = 0."""
-    return _breakdown(_Tracker, (), None)
-
-
 def potential_for(policy):
-    """The from-scratch potential of a policy's row."""
-    return _spec_for(policy.kind, policy.adaptation).potential
+    """The from-scratch potential of a policy's row, as a function
+    (policy, opt_cache) -> PotentialBreakdown: the row's tracker built
+    fresh on the live policy, its feature vector broken down term by
+    term."""
+    tracker = _spec_for(policy.kind, policy.adaptation).tracker
+
+    def potential(policy, opt_cache):
+        features, audit = tracker(policy, opt_cache).features()
+        coefficients = tracker.coefficients
+        return PotentialBreakdown(_dot(coefficients, features),
+                                  tuple(zip(tracker.names, map(mul, coefficients, features))),
+                                  audit)
+
+    return potential
 
 
 # ---------------------------------------------------------------------------
 # incremental potentials
 #
-# The lockstep pass evaluates the potentials above through trackers that
-# follow the two things that move them: the oracle's (admitted, evicted)
+# The lockstep pass evaluates each row's potential through its tracker,
+# which follows the two things that move it: the oracle's (admitted, evicted)
 # pair on each of its misses, and the policy's AccessOutcome. A policy
 # half-step then costs O(pages the request touched) and an oracle
 # half-step a walk to the two pages it moved, instead of a rescan of the
@@ -270,7 +237,7 @@ class _RingTracker(_Tracker):
     replays the moves in the policy's order: sweeps to the last ring, the
     demotion, the history drop, the ghost-hit removal, then the admission
     (to the last ring on a ghost hit). Subclasses write features() from
-    the ranked lists; the from-scratch potentials are fresh trackers."""
+    the ranked lists."""
 
     def __init__(self, policy, opt_cache, rings, ghosts):
         super().__init__(policy, opt_cache)
@@ -313,8 +280,10 @@ class _RingTracker(_Tracker):
 
 
 class _ClockTracker(_RingTracker):
-    """clock_potential: over ring pages outside the oracle cache, their
-    rank sum and capacity times their marked count."""
+    """CLOCK's potential: over ring pages outside the oracle cache, their
+    rank sum and capacity times their marked count. An unmarked page
+    counts its sweep rank (head = 1); a marked one counts capacity more,
+    since the hand must sweep past it once more."""
 
     names = ("rank_sum", "marked")
     coefficients = (1, 1)
@@ -328,7 +297,7 @@ class _ClockTracker(_RingTracker):
 
 
 class _CarTracker(_RingTracker):
-    """car_potential from the ranks of T1, T2, B1 and B2: it weighs p,
+    """CAR's potential, from the ranks of T1, T2, B1 and B2: it weighs p,
     |B1|+|T1|, the count of cached pages the oracle also holds, and then,
     in seven features, the sum of R-values over directory pages outside
     the oracle cache. A ghost page's R is its discard distance (LRU = 1),
@@ -356,24 +325,19 @@ class _CarTracker(_RingTracker):
 
 
 class _ArcTracker(_Tracker):
-    """arc_potential, walking each MRU prefix from its MRU end only as far
-    as the first page outside the oracle cache. The audit is the
-    PrefixSizes and the list sizes (|T1|, |T2|, |B1|, |B2|) the eviction
-    audit reads."""
+    """ARC's potential: a weighted audit of how much of the directory the
+    oracle shares, which deeper overlap (larger primed sizes) lowers. Each
+    MRU prefix is walked from its MRU end only as far as the first page
+    outside the oracle cache. The audit is the PrefixSizes and the list
+    sizes (|T1|, |T2|, |B1|, |B2|) the eviction audit reads."""
 
     names = ("p", "t", "b1_prime", "t1_prime", "b2_prime", "t2_prime")
     coefficients = (1, 10, -1, -2, -3, -4)
 
     def features(self):
         arc, opt_cache = self.policy, self.opt_cache
-        return self.prefix_features(
-            arc, _prefix_len(opt_cache, reversed(arc.t1), reversed(arc.b1)),
-            _prefix_len(opt_cache, reversed(arc.t2), reversed(arc.b2)))
-
-    @staticmethod
-    def prefix_features(arc, l1, l2):
-        """The feature vector and audit of an ARC state whose MRU prefixes
-        inside the oracle cache hold l1 pages of T1+B1 and l2 of T2+B2."""
+        l1 = _prefix_len(opt_cache, reversed(arc.t1), reversed(arc.b1))
+        l2 = _prefix_len(opt_cache, reversed(arc.t2), reversed(arc.b2))
         sizes = t1, t2, _, _ = len(arc.t1), len(arc.t2), len(arc.b1), len(arc.b2)
         t1p, t2p = min(l1, t1), min(l2, t2)
         return ((arc.p, t1 + t2, l1 - t1p, t1p, l2 - t2p, t2p),
@@ -381,8 +345,8 @@ class _ArcTracker(_Tracker):
 
 
 def potential_tracker(policy):
-    """A fresh tracker for potential_for(policy), for a policy that has
-    served no request yet."""
+    """The row's tracker built on a policy that has served no request yet,
+    to be kept up to date through opt_step and alg_step."""
     return _spec_for(policy.kind, policy.adaptation).tracker(policy)
 
 
@@ -714,23 +678,24 @@ def car_step_report(log):
 
 class PolicySpec(namedtuple(
         "PolicySpec",
-        "name adaptation cls bound potential tracker structural step_checks lemma_checks "
+        "name adaptation cls bound tracker structural step_checks lemma_checks "
         "step_gated step_asserted")):
     """One policy variant and every fact its checks need.
 
     name and adaptation select the row; a row whose adaptation is None
     serves every requested adaptation. bound is the c of the whole-run
     bound c*N*OPT + c*N and of the per-step bound, None where neither is
-    checked. potential is the from-scratch potential, None where phi is
-    0, and tracker the class that follows it request by request, with the
-    audit the checks read. structural is the checker run on the live
-    policy after each request. step_checks run under the potential check
-    and lemma_checks under lemmas, in this order; each is find(entry,
-    spec, capacity) -> (step, check, lhs, rhs) findings, reading the
-    entry's audit_opt and audit_alg where they need more than phi.
-    step_gated audits a request's step bound only once the cache has
-    filled; step_asserted makes step findings hard failures rather than
-    reports.
+    checked. tracker is the class that holds the row's potential (its
+    features and their coefficients) and follows it request by request,
+    with the audit the checks read; built fresh on a live policy it is
+    also the from-scratch reference (potential_for). structural is the
+    checker run on the live policy after each request. step_checks run
+    under the potential check and lemma_checks under lemmas, in this
+    order; each is find(entry, spec, capacity) -> (step, check, lhs,
+    rhs) findings, reading the entry's audit_opt and audit_alg where they
+    need more than phi. step_gated audits a request's step bound only
+    once the cache has filled; step_asserted makes step findings hard
+    failures rather than reports.
     """
 
     __slots__ = ()
@@ -744,14 +709,14 @@ class PolicySpec(namedtuple(
 # Adding a policy: its class (core.Policy) and one row here; the CLI,
 # compare and every check read this table.
 POLICY_TABLE = (
-    PolicySpec("lru", None, LruCache, 1, _lru_potential, _Tracker, None, (), (), False, True),
-    PolicySpec("clock", None, ClockCache, 2, clock_potential, _ClockTracker, None,
-               (_step_findings,), (), False, True),
-    PolicySpec("arc", ADAPT_UNIT, ArcCache, 4, arc_potential, _ArcTracker, check_arc_structure,
+    PolicySpec("lru", None, LruCache, 1, _Tracker, None, (), (), False, True),
+    PolicySpec("clock", None, ClockCache, 2, _ClockTracker, None, (_step_findings,), (), False,
+               True),
+    PolicySpec("arc", ADAPT_UNIT, ArcCache, 4, _ArcTracker, check_arc_structure,
                (_step_findings,), (_eviction_findings,), True, True),
-    PolicySpec("arc", ADAPT_RATIO, ArcCache, None, arc_potential, _ArcTracker,
-               check_arc_structure, (), (), True, True),
-    PolicySpec("car", None, CarCache, 21, car_potential, _CarTracker, check_car_invariants,
+    PolicySpec("arc", ADAPT_RATIO, ArcCache, None, _ArcTracker, check_arc_structure, (), (), True,
+               True),
+    PolicySpec("car", None, CarCache, 21, _CarTracker, check_car_invariants,
                (_step_findings, _opt_fine_findings, _sweep_rank_findings), (), True, False),
 )
 
