@@ -7,7 +7,8 @@ checks the amortized cost bounds and structural invariants request by
 request.
 
 Every export loads its home module on first use (PEP 562), so a caller
-that only reads a trace pays for core and workloads, not for the
+that only reads a trace file pays for traces alone, and one that only
+generates a trace for workloads alone, not for the policy layer or the
 verification layer.
 """
 
@@ -24,9 +25,10 @@ _EXPORTS = {
         partition_phases run_checks run_lockstep""",
     "car": "CarCache",
     "classic": "ClockCache LruCache",
-    "core": "AccessOutcome Policy TraceParseError canonical_key format_trace parse_trace",
+    "core": "AccessOutcome Policy canonical_key",
     "harness": "RunReport emit_report run_simulation verify_trace",
     "opt": "OptSchedule annotate_next_use belady_run exhaustive_opt",
+    "traces": "TraceParseError format_trace parse_trace",
     "workloads": "SplitMix64 WorkloadSpec gen_cycle gen_fuzz gen_scan_mix gen_zipf parse_workload",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

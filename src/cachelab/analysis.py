@@ -308,7 +308,7 @@ class _CarTracker(_RingTracker):
     names = ("p", "l1_resident", "shared", "t1_rank_sum", "t1_outside_b1", "t2_rank_sum",
              "t2_outside_b2", "marked", "b1_rank_sum", "b2_rank_sum")
     coefficients = (1, 2, -3, 6, 3, 6, 3, 9, 3, 3)
-    sweep_coefficients = coefficients[3:]
+    head_coefficients, sweep_coefficients = coefficients[:3], coefficients[3:]
 
     def __init__(self, car, opt_cache=frozenset()):
         super().__init__(car, opt_cache, (car.t1, car.t2), (car.b1, car.b2))
@@ -322,6 +322,11 @@ class _CarTracker(_RingTracker):
                  b1.position_sum, b2.position_sum)
         head = (car.p, b1_len + len(car.t1), len(car.marks) - t1.outside - t2.outside)
         return head + sweep, _dot(self.sweep_coefficients, sweep)
+
+    def value(self):
+        # the audit is phi's sweep terms; _dot stops at the three head features
+        features, audit = self.features()
+        return _dot(self.head_coefficients, features) + audit, audit
 
 
 class _ArcTracker(_Tracker):

@@ -132,13 +132,8 @@ class ArcCache(Directory):
             moved, dest = self.replace(requested_in_b2=hit_list == "B2")
             del (self.b1 if hit_list == "B1" else self.b2)[page]
             self.t2[page] = True
-            return AccessOutcome(
-                was_hit=False,
-                evicted_cache_page=moved,
-                replace_dest=dest,
-                adaptation_delta=self.p - old_p,
-                history_hit=hit_list,
-            )
+            # positional, in field order: keywords cost a quarter microsecond more
+            return AccessOutcome(False, moved, None, self.p - old_p, dest, None, hit_list)
 
         # full directory miss
         moved = dest = None
@@ -160,10 +155,5 @@ class ArcCache(Directory):
             moved, dest = self.replace(requested_in_b2=False)
         # while the directory is smaller than the cache nothing is evicted
         self.t1[page] = True
-        return AccessOutcome(
-            was_hit=False,
-            evicted_cache_page=moved,
-            evicted_history_page=hist_evicted,
-            history_evicted_from=hist_from,
-            replace_dest=dest,
-        )
+        # positional, in field order, as above
+        return AccessOutcome(False, moved, hist_evicted, 0, dest, hist_from)

@@ -106,13 +106,6 @@ class CarCache(Directory):
             del (self.b1 if history_hit == "B1" else self.b2)[page]
             self.t2.append(page)
         self.marks[page] = False
-        return AccessOutcome(
-            was_hit=False,
-            evicted_cache_page=moved,
-            replace_dest=dest,
-            evicted_history_page=hist_evicted,
-            history_evicted_from=hist_from,
-            adaptation_delta=self.p - old_p,
-            history_hit=history_hit,
-            swept=swept,
-        )
+        # positional, in field order: keywords cost a quarter microsecond more
+        return AccessOutcome(False, moved, hist_evicted, self.p - old_p, dest, hist_from,
+                             history_hit, swept)

@@ -27,7 +27,8 @@ class LruCache(Policy):
         if len(self.queue) == self.capacity:
             evicted, _ = self.queue.popitem(last=False)
         self.queue[page] = True
-        return AccessOutcome(was_hit=False, evicted_cache_page=evicted)
+        # positional, in field order: keywords cost a quarter microsecond more
+        return AccessOutcome(False, evicted)
 
     @property
     def is_full(self):
@@ -72,7 +73,8 @@ class ClockCache(Policy):
             del self.marks[evicted]
         self.ring.append(page)
         self.marks[page] = False
-        return AccessOutcome(was_hit=False, evicted_cache_page=evicted, swept=swept)
+        # positional, in field order: keywords cost a quarter microsecond more
+        return AccessOutcome(False, evicted, None, 0, None, None, None, swept)
 
     @property
     def is_full(self):

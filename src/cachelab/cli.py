@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from . import analysis
 from .analysis import ADAPT_UNIT
-from .core import TraceParseError, format_trace, parse_trace
 from .harness import emit_report, run_simulation, verify_trace
+from .traces import TraceParseError, format_trace, parse_trace
 from .workloads import parse_workload
 
 FORMAT_ENV_VAR = "CACHELAB_FORMAT"

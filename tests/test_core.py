@@ -14,13 +14,8 @@ from cachelab import (
     gen_fuzz,
     make_policy,
 )
-from cachelab.core import (
-    RESERVED_TOKEN_CHARS,
-    TraceParseError,
-    check_page_tokens,
-    parse_trace,
-    render_state,
-)
+from cachelab.core import check_page_tokens, render_state
+from cachelab.traces import RESERVED_TOKEN_CHARS, TraceParseError, parse_trace
 
 DATA = pathlib.Path(__file__).parent / "data"
 

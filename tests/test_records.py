@@ -3,7 +3,7 @@
 Every CLI command is a fresh interpreter that imports cachelab before it
 reads a request, and `import dataclasses` alone loads inspect, ast and dis.
 The package exports each name from its home module on first use, so
-reading a trace loads no verification code.
+reading a trace file loads only traces and generating one only workloads.
 """
 
 import os
@@ -41,7 +41,8 @@ EXPORTS = {
     "make_policy", "parse_trace", "parse_workload", "partition_phases", "run_checks",
     "run_lockstep", "run_simulation", "verify_trace",
 }
-SUBMODULES = ("core", "arc", "car", "classic", "opt", "analysis", "harness", "workloads")
+SUBMODULES = ("core", "arc", "car", "classic", "opt", "analysis", "harness", "traces",
+              "workloads")
 
 
 def run_cold(code):
@@ -66,15 +67,19 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
     assert done.stdout == "[]\n"
 
 
-def test_loading_a_trace_loads_only_core_and_workloads():
+@pytest.mark.parametrize("load, module", [
+    ("assert cachelab.parse_trace(b'1 2 3') == ['1', '2', '3']", "traces"),
+    ("cachelab.parse_workload('zipf:universe=50,alpha=0.9,length=100,seed=1').generate()",
+     "workloads"),
+])
+def test_loading_a_trace_loads_only_its_home_module(load, module):
     out = run_cold(
         "import sys, cachelab\n"
-        "cachelab.parse_workload('zipf:universe=50,alpha=0.9,length=100,seed=1').generate()\n"
-        "assert cachelab.parse_trace(b'1 2 3') == ['1', '2', '3']\n"
+        + load + "\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cachelab'))\n"
         "print(sorted({'json', 'fractions', 're'} & set(sys.modules)))\n"
     )
-    assert out == "['cachelab', 'cachelab.core', 'cachelab.workloads']\n[]\n"
+    assert out == "['cachelab', 'cachelab.%s']\n[]\n" % module
 
 
 class TestExportTable:
