@@ -3,22 +3,41 @@
 All randomness comes from SplitMix64 with the standard constants
 (increment 0x9E3779B97F4A7C15, mixers 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB), so a (kind, parameters, seed) triple yields a
-bit-identical trace on every platform. Uniform draws take the raw 64-bit
+bit-identical trace on every platform. Draws are computed a block at a
+time, one per 128-bit lane of an int. Uniform draws take the raw 64-bit
 output modulo the range; unit-interval draws use the top 53 bits.
 """
 
-from __future__ import annotations
-
 import math
+import sys
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mod, mul
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 _UNIT = float(1 << 53)  # a unit-interval draw is the top 53 bits over this
 # largest length, universe, k, hot or scan a workload spec may ask for;
 # every generator builds its whole trace, and zipf a table over its universe
 MAX_WORKLOAD_SIZE = 10 ** 7
+
+# A block packs up to _BLOCK draws into one int, draw i in the 128-bit lane
+# from bit 128 * i; a lane holds a 64 x 64-bit product, so each masked shift,
+# xor or multiply acts on all lanes with no carry between them. _STEPS holds
+# (i + 1) * _GAMMA in lane i: with x = 2**128, the sum over the lanes of
+# (i + 1) * x**i is (_BLOCK * x**_BLOCK - _LANES) / (x - 1).
+_BLOCK = 2048
+_LANES = int.from_bytes(b"\1".ljust(16, b"\0") * _BLOCK, "little")
+_STEPS = _GAMMA * (((_BLOCK << 128 * _BLOCK) - _LANES) // ((1 << 128) - 1))
+
+
+def _low_words(packed, count):
+    """The low 64 bits of each of the first count lanes of packed."""
+    # bytes in the host's order read back as words in it: a lane's low word is
+    # its first on a little-endian host, and its last, lanes reversed, on a big one
+    words = memoryview(packed.to_bytes(16 * count, sys.byteorder)).cast("Q")
+    return words[::2] if sys.byteorder == "little" else words[::-2]
 
 
 class SplitMix64:
@@ -28,22 +47,31 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self):
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
+    def _blocks(self, count):
+        """The one draw loop: yield the next count outputs of next_u64 as (n,
+        packed) blocks, output i in lane i, storing the state after each."""
+        for start in range(0, count, _BLOCK):
+            n = min(_BLOCK, count - start)
+            lanes = _LANES & ((1 << 128 * n) - 1)
+            mask = _MASK64 * lanes
+            z = (self._state * lanes + (_STEPS & mask)) & mask
+            self._state = (self._state + n * _GAMMA) & _MASK64
+            z = ((z ^ ((z >> 30) & mask)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ ((z >> 27) & mask)) * 0x94D049BB133111EB) & mask
+            yield n, z ^ ((z >> 31) & mask)
+
     def draws(self, count):
-        """Yield the next count outputs of next_u64: the one draw loop every
-        generator reads, with the state in a local. The state is stored
-        after each draw, so reading only part of it advances by that part."""
-        state = self._state
-        for _ in range(count):
-            self._state = state = (state + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            yield z ^ (z >> 31)
+        """The next count outputs of next_u64 as a list, advancing as they would."""
+        out = []
+        for n, block in self._blocks(count):
+            out += _low_words(block, n)
+        return out
 
 
 def gen_cycle(k, length):
@@ -57,7 +85,7 @@ def gen_fuzz(universe, length, seed):
     """Uniform i.i.d. draws from [0, universe)."""
     if universe < 1:
         raise ValueError("universe must be at least 1, got %r" % (universe,))
-    return [x % universe for x in SplitMix64(seed).draws(length)]
+    return list(map(mod, SplitMix64(seed).draws(length), repeat(universe)))
 
 
 def gen_zipf(universe, alpha, length, seed):
@@ -71,11 +99,22 @@ def gen_zipf(universe, alpha, length, seed):
     if alpha < 0:
         raise ValueError("alpha must be non-negative, got %r" % (alpha,))
     cumulative = list(accumulate((rank + 1) ** -alpha for rank in range(universe)))
-    total = cumulative[-1]
-    # a 53-bit fraction below 1 times total rounds to a double below total,
-    # so bisect never runs past the last bound
-    return [bisect_right(cumulative, (x >> 11) / _UNIT * total)
-            for x in SplitMix64(seed).draws(length)]
+    # unit * scale is unit / 2**53 * total rounded once, as dividing by 2**53 is
+    # exact, and below 2**53 * scale = total, so bisect never passes the last bound
+    scale = cumulative[-1] / _UNIT
+    # guide table (Chen & Asau 1974): guide[b] is the page of the smallest unit
+    # with top 10 bits b, so a unit in bucket b maps into [guide[b], guide[b + 1]]
+    guide = list(map(bisect_right, repeat(cumulative),
+                     map(mul, range(0, (1 << 53) + 1, 1 << 43), repeat(scale))))
+    upper = guide[1:]
+    trace = []
+    for n, block in SplitMix64(seed)._blocks(length):
+        # a lane's low word holds its 53-bit unit after >> 11, its top 10 bits after >> 54
+        buckets = _low_words(block >> 54, n)
+        trace += map(bisect_right, repeat(cumulative),
+                     map(mul, _low_words(block >> 11, n), repeat(scale)),
+                     map(guide.__getitem__, buckets), map(upper.__getitem__, buckets))
+    return trace
 
 
 def gen_scan_mix(hot_set, scan_len, length, seed):
@@ -92,8 +131,8 @@ def gen_scan_mix(hot_set, scan_len, length, seed):
         raise ValueError("scan_len must be at least 1, got %r" % (scan_len,))
     burst_len = 2 * scan_len
     periods, rest = divmod(length, burst_len + scan_len)
-    hot = [x % hot_set for x in
-           SplitMix64(seed).draws(periods * burst_len + min(rest, burst_len))]
+    hot = list(map(mod, SplitMix64(seed).draws(periods * burst_len + min(rest, burst_len)),
+                   repeat(hot_set)))
     trace = []
     for period in range(periods + (rest > 0)):
         trace += hot[period * burst_len:(period + 1) * burst_len]

@@ -1,9 +1,11 @@
 import hashlib
 import math
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cachelab import (
     SplitMix64,
@@ -14,7 +16,10 @@ from cachelab import (
     gen_zipf,
     parse_workload,
 )
-from cachelab.workloads import MAX_WORKLOAD_SIZE
+from cachelab.workloads import _BLOCK, MAX_WORKLOAD_SIZE
+
+# draw counts around the block boundaries of the draw engine
+BLOCK_LENGTHS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
 
 
 class TestSplitMix64:
@@ -26,15 +31,25 @@ class TestSplitMix64:
         rng = SplitMix64(1234567)
         assert rng.next_u64() == 6457827717110365317
 
-    def test_draws_are_next_u64_outputs_and_advance_the_state(self):
+    def test_draws_interleave_with_next_u64(self):
         reference = SplitMix64(9)
         want = [reference.next_u64() for _ in range(503)]
         rng = SplitMix64(9)
-        partial = rng.draws(10)
-        got = [rng.next_u64(), next(partial), next(partial)]  # a partial read advances by two
-        got += [*rng.draws(499), rng.next_u64()]
+        got = [rng.next_u64(), *rng.draws(2), *rng.draws(499), rng.next_u64()]
         assert got == want
-        assert list(SplitMix64(9).draws(0)) == []
+        assert SplitMix64(9).draws(0) == []
+
+    @pytest.mark.parametrize("seed", [9, 2 ** 64 - 1, 2 ** 64 + 5, -3])
+    @pytest.mark.parametrize("count", BLOCK_LENGTHS)
+    def test_draws_are_next_u64_outputs_and_advance_the_state(self, seed, count):
+        reference = SplitMix64(seed)
+        want = [reference.next_u64() for _ in range(count)]
+        state = reference._state
+        want.append(reference.next_u64())
+        rng = SplitMix64(seed)
+        got = rng.draws(count)
+        assert rng._state == state
+        assert [*got, rng.next_u64()] == want
 
 
 class TestCycle:
@@ -84,6 +99,32 @@ class TestZipf:
     def test_the_largest_unit_draw_stays_below_the_total(self, total):
         # so inverse-CDF sampling never runs past the last cumulative bound
         assert (((1 << 64) - 1) >> 11) / float(1 << 53) * total < total
+
+    # universe 1; uniform; all mass on page 0; a long heavy tail; the bench shape
+    @pytest.mark.parametrize("universe, alpha", [
+        (1, 0.9), (50, 0), (10, 1e6), (10 ** 5, 1.3), (1000, 0.9)])
+    @pytest.mark.parametrize("length", BLOCK_LENGTHS)
+    def test_matches_the_scalar_reference(self, universe, alpha, length):
+        for seed in (1, -3, 2 ** 64 + 5):
+            assert gen_zipf(universe, alpha, length, seed) == \
+                reference_zipf(universe, alpha, length, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(-2 ** 70, 2 ** 70), length=st.integers(0, 5000),
+           universe=st.integers(1, 2000), alpha=st.floats(0, 3))
+    def test_matches_the_scalar_reference_everywhere(self, seed, length, universe, alpha):
+        assert gen_zipf(universe, alpha, length, seed) == \
+            reference_zipf(universe, alpha, length, seed)
+
+
+def reference_zipf(universe, alpha, length, seed):
+    """gen_zipf one draw at a time: a full bisect of each next_u64's top 53
+    bits over 2**53, times the total weight."""
+    cumulative = list(accumulate((rank + 1) ** -alpha for rank in range(universe)))
+    total = cumulative[-1]
+    rng = SplitMix64(seed)
+    return [bisect_right(cumulative, (rng.next_u64() >> 11) / float(1 << 53) * total)
+            for _ in range(length)]
 
 
 class TestScanMix:
