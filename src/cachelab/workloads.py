@@ -91,8 +91,9 @@ def gen_fuzz(universe, length, seed):
 def gen_zipf(universe, alpha, length, seed):
     """I.i.d. draws with P(page r) proportional to (r+1)**-alpha.
 
-    Sampling is inverse-CDF over the precomputed cumulative weights;
-    alpha = 0 degenerates to the uniform distribution.
+    Sampling is inverse-CDF over the precomputed cumulative weights, each
+    search narrowed by a guide table; alpha = 0 degenerates to the uniform
+    distribution.
     """
     if universe < 1:
         raise ValueError("universe must be at least 1, got %r" % (universe,))
