@@ -1,7 +1,8 @@
 """Verification layer: potential functions and the trackers that update
 them request by request, lockstep replay against the offline optimum,
 per-step bound/invariant checkers, and run_checks, the one streaming
-pass that drives them all.
+pass that drives them all. _check_plan is the one check plan and
+audit_entries the one loop that runs it, over a live stream or a log.
 
 Every request is processed in two half-steps: the optimal schedule moves
 first, then the online policy. A potential function maps (policy state,
@@ -27,7 +28,7 @@ accounting close.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import mul
+from operator import attrgetter, mul
 
 from .arc import ADAPT_RATIO, ADAPT_UNIT, ArcCache
 from .car import CarCache
@@ -380,14 +381,6 @@ class LockstepLog(namedtuple("LockstepLog", "policy_kind adaptation capacity ent
         return super().__new__(cls, policy_kind, adaptation, capacity,
                                [] if entries is None else entries)
 
-    @property
-    def c_alg_total(self):
-        return sum(e.c_alg for e in self.entries)
-
-    @property
-    def c_opt_total(self):
-        return sum(e.c_opt for e in self.entries)
-
 
 def make_policy(name, capacity, adaptation=ADAPT_UNIT):
     """Factory for the CLI / harness policy names."""
@@ -469,30 +462,39 @@ class ViolationReport(namedtuple("ViolationReport", "violations")):
         return [v.to_dict() for v in self.violations]
 
 
-def _violation(entry, step, check, lhs, rhs, digest):
-    return Violation(
-        index=entry.index,
-        step=step,
-        check=check,
-        lhs=lhs,
-        rhs=rhs,
-        page=entry.page,
-        digest=digest,
-        opt_cache=tuple(sorted(entry.opt_cache, key=canonical_key)),
-    )
+def _check_plan(spec, checks, fail_on_car_step=False):
+    """The row's (report name, find) pairs under the named checks, in
+    report order, and the asserted report names: potential runs
+    step_checks into step, report-only for CAR unless fail_on_car_step;
+    lemmas runs lemma_checks into eviction_audit."""
+    plan = []
+    if "potential" in checks:
+        plan += [("step", find) for find in spec.step_checks]
+    if "lemmas" in checks:
+        plan += [("eviction_audit", find) for find in spec.lemma_checks]
+    return plan, tuple(dict.fromkeys(name for name, _ in plan
+                                     if name != "step" or spec.step_asserted or fail_on_car_step))
 
 
-def _log_report(log, *finds):
-    """Run per-entry checks over every entry of a log (see PolicySpec),
-    one check after another: the report lists the first check's findings,
-    then the next check's."""
-    spec = _spec_for(log.policy_kind, log.adaptation)
-    report = ViolationReport()
-    for find in finds:
-        for entry in log.entries:
-            for step, check, lhs, rhs in find(entry, spec, log.capacity):
-                report.violations.append(_violation(entry, step, check, lhs, rhs, entry.digest))
-    return report
+def audit_entries(spec, capacity, entries, plan, digest):
+    """Run a check plan over any iterable of LockstepEntry of the row spec
+    at cache size capacity: a kept log, the live stream or a plain list.
+    Returns each report name of the plan, in order, mapped to its
+    ViolationReport: its first find's findings, then the next find's.
+    digest(entry) is called once per entry on which a check fires, before
+    the next entry is drawn, and never for an entry on which none does."""
+    found = [(find, []) for _, find in plan]
+    for entry in entries:
+        rendered = None  # the entry's digest and sorted oracle cache, once a check fires
+        for find, listed in found:
+            for step, check, lhs, rhs in find(entry, spec, capacity):
+                if rendered is None:
+                    rendered = digest(entry), tuple(sorted(entry.opt_cache, key=canonical_key))
+                listed.append(Violation(entry.index, step, check, lhs, rhs, entry.page, *rendered))
+    reports = {}
+    for (name, _), (_, listed) in zip(plan, found):
+        reports.setdefault(name, ViolationReport()).violations.extend(listed)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +527,12 @@ def check_step_inequalities(log):
     from the first request. Policies whose row runs no step checks (LRU,
     ratio ARC) raise ValueError.
     """
-    if not _spec_for(log.policy_kind, log.adaptation).step_checks:
+    spec = _spec_for(log.policy_kind, log.adaptation)
+    if not spec.step_checks:
         raise ValueError("no per-step potential bound is defined for %s with adaptation %r"
                          % (log.policy_kind, log.adaptation))
-    return _log_report(log, _step_findings)
+    return audit_entries(spec, log.capacity, log.entries, ((None, _step_findings),),
+                         attrgetter("digest"))[None]
 
 
 def check_aggregate_bound(c_alg_total, c_opt_total, capacity, c):
@@ -588,7 +592,8 @@ def check_arc_eviction_audit(log):
     """
     if log.policy_kind != "ARC":
         raise ValueError("eviction audit applies to ARC logs, got %r" % (log.policy_kind,))
-    return _log_report(log, _eviction_findings)
+    return audit_entries(_spec_for(log.policy_kind, log.adaptation), log.capacity, log.entries,
+                         ((None, _eviction_findings),), attrgetter("digest"))[None]
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +679,10 @@ def car_step_report(log):
     them."""
     if log.policy_kind != "CAR":
         raise ValueError("the CAR step report applies to CAR logs, got %r" % (log.policy_kind,))
-    return _log_report(log, *_spec_for(log.policy_kind, log.adaptation).step_checks)
+    spec = _spec_for(log.policy_kind, log.adaptation)
+    (report,) = audit_entries(spec, log.capacity, log.entries, _check_plan(spec, ("potential",))[0],
+                              attrgetter("digest")).values()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -695,12 +703,12 @@ class PolicySpec(namedtuple(
     with the audit the checks read; built fresh on a live policy it is
     also the from-scratch reference (potential_for). structural is the
     checker run on the live policy after each request. step_checks run
-    under the potential check and lemma_checks under lemmas, in this
-    order; each is find(entry, spec, capacity) -> (step, check, lhs,
-    rhs) findings, reading the entry's audit_opt and audit_alg where they
-    need more than phi. step_gated audits a request's step bound only
-    once the cache has filled; step_asserted makes step findings hard
-    failures rather than reports.
+    under the potential check and lemma_checks under lemmas, in the order
+    _check_plan gives; each is find(entry, spec, capacity) -> (step,
+    check, lhs, rhs) findings, reading the entry's audit_opt and
+    audit_alg where they need more than phi. step_gated audits a
+    request's step bound only once the cache has filled; step_asserted
+    makes step findings hard failures rather than reports.
     """
 
     __slots__ = ()
@@ -783,14 +791,6 @@ class Verification(namedtuple(
         return tally
 
 
-def _audit_state(structural, policy, index, was_full, state):
-    """Add the structural checker's findings on the live policy after
-    request index to state; returns the fullness flag for the next one."""
-    for v in structural(policy, was_full).violations:
-        state.violations.append(v._replace(index=index))
-    return was_full or policy.is_full
-
-
 def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_CHECKS,
                fail_on_car_step=False):
     """Run a policy over a trace with the requested checks, in one
@@ -798,17 +798,18 @@ def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_C
 
     checks is a subset of ALL_CHECKS (another name raises ValueError),
     and the policy's POLICY_TABLE row says what each runs. potential (the
-    row's step_checks, asserted for CAR only under fail_on_car_step, and
-    the aggregate bound) and lemmas (its lemma_checks: the ARC eviction
-    audit) replay in lockstep with the oracle; without them no oracle or
-    potential is computed. invariants runs the row's structural checker
-    (ARC, CAR) on the live policy after every request. Each per-step
-    check reads one entry at a time and no entry is kept; the policy
+    step checks and the aggregate bound) and lemmas (the ARC eviction
+    audit) replay in lockstep with the oracle: audit_entries runs
+    _check_plan over the live stream and keeps no entry. Without them no
+    oracle or potential is computed. invariants runs the row's structural
+    checker (ARC, CAR) on the live policy after every request. A policy
     digest is rendered only after a request on which a check fires, so it
     shows the state that request left. A checked run raises ValueError on
     pages whose digest would be ambiguous; an unchecked one accepts any
     hashable page.
     """
+    if isinstance(checks, str):
+        raise ValueError("checks is a collection of check names, not the string %r" % (checks,))
     checks = set(checks)
     unknown = checks.difference(ALL_CHECKS)
     if unknown:
@@ -817,53 +818,51 @@ def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_C
         check_page_tokens(trace)
     spec = _spec_named(policy_name, adaptation)
     policy = spec.make(capacity)
-    # (report, per-entry check, findings); a report joins the findings of
-    # its checks in this order, as the log-based checkers do
-    plan = []
-    if "potential" in checks:
-        plan += [("step", find, []) for find in spec.step_checks]
-    if "lemmas" in checks:
-        plan += [("eviction_audit", find, []) for find in spec.lemma_checks]
+    plan, asserted = _check_plan(spec, checks, fail_on_car_step)
     structural = spec.structural if "invariants" in checks else None
-    state = ViolationReport() if structural is not None else None
+    state = ViolationReport()
     lockstep = "potential" in checks or "lemmas" in checks
 
     miss_flags = bytearray()
-    opt_misses = 0
-    entry = None
+    opt_misses = final_potential = 0
     was_full = False
-    if lockstep:
+
+    def audit_state(index):
+        nonlocal was_full
+        for v in structural(policy, was_full).violations:
+            state.violations.append(v._replace(index=index))
+        was_full = was_full or policy.is_full
+
+    def served():
+        # the live stream, tallied; the live policy is in the state each entry describes
+        nonlocal opt_misses, final_potential
         for entry in _lockstep_entries(trace, policy):
             miss_flags.append(entry.c_alg)
             opt_misses += entry.c_opt
-            digest = None
-            for _, find, found in plan:
-                for step, check, lhs, rhs in find(entry, spec, capacity):
-                    if digest is None:
-                        digest = policy.digest()
-                    found.append(_violation(entry, step, check, lhs, rhs, digest))
+            final_potential = entry.phi_after_alg
             if structural is not None:
-                was_full = _audit_state(structural, policy, entry.index, was_full, state)
+                audit_state(entry.index)
+            yield entry
+
+    if lockstep:
+        reports = audit_entries(spec, capacity, served(), plan, lambda entry: policy.digest())
     else:
+        reports = {}
         request, append = policy.request, miss_flags.append
         for page in trace:
             append(not request(page).was_hit)
             if structural is not None:
-                was_full = _audit_state(structural, policy, len(miss_flags) - 1, was_full, state)
-
-    reports = {}
-    for name, _, found in plan:
-        reports.setdefault(name, ViolationReport()).violations.extend(found)
-    if state is not None:
+                audit_state(len(miss_flags) - 1)
+    if structural is not None:
         reports["state_invariants"] = state
+        asserted += ("state_invariants",)
     return Verification(
         spec=spec,
         miss_flags=miss_flags,
         opt_misses=opt_misses if lockstep else None,
-        final_potential=entry.phi_after_alg if entry is not None else 0,
+        final_potential=final_potential,
         reports=reports,
-        asserted=tuple(name for name in reports
-                       if name != "step" or spec.step_asserted or fail_on_car_step),
+        asserted=asserted,
         aggregate_holds=(
             check_aggregate_bound(sum(miss_flags), opt_misses, capacity, spec.bound)
             if "potential" in checks and spec.bound is not None else None

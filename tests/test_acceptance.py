@@ -143,12 +143,12 @@ def step_suite_results():
         rows.append({
             "label": label,
             "n": n,
-            "opt": arc_log.c_opt_total,
+            "opt": sum(e.c_opt for e in arc_log.entries),
             "misses": {
                 "lru": run_plain("lru", n, trace),
-                "clock": clock_log.c_alg_total,
-                "arc": arc_log.c_alg_total,
-                "car": car_log.c_alg_total,
+                "clock": sum(e.c_alg for e in clock_log.entries),
+                "arc": sum(e.c_alg for e in arc_log.entries),
+                "car": sum(e.c_alg for e in car_log.entries),
             },
             "arc_step_violations": len(arc_step.violations),
             "arc_audit_violations": len(arc_audit.violations),

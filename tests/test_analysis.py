@@ -198,6 +198,18 @@ class TestLockstep:
                 assert entry.phi_after_alg == entry.phi_after_opt
 
 
+def _clock_entry(**overrides):
+    """A planted CLOCK miss on which both step bounds fire at N=2."""
+    base = dict(
+        index=0, page="x", c_opt=0, c_alg=1,
+        phi_before=0, phi_after_opt=5, phi_after_alg=3,
+        digest="CLOCK RING=[x]", opt_cache=frozenset(),
+        cache_full_before=True, outcome=AccessOutcome(was_hit=False),
+    )
+    base.update(overrides)
+    return LockstepEntry(**base)
+
+
 class TestStepChecks:
     def test_arc_and_clock_clean_on_seeded_suite(self):
         for seed in range(12):
@@ -214,12 +226,7 @@ class TestStepChecks:
 
     def test_planted_step_violation_fires(self):
         log = LockstepLog(policy_kind="CLOCK", adaptation=None, capacity=2)
-        log.entries.append(LockstepEntry(
-            index=0, page="x", c_opt=0, c_alg=1,
-            phi_before=0, phi_after_opt=5, phi_after_alg=3,
-            digest="CLOCK RING=[x]", opt_cache=frozenset(),
-            cache_full_before=True, outcome=AccessOutcome(was_hit=False),
-        ))
+        log.entries.append(_clock_entry())
         report = check_step_inequalities(log)
         checks = {v.check for v in report.violations}
         assert checks == {"request_bound", "opt_step_bound"}
@@ -257,8 +264,8 @@ def _arc_entry(**overrides):
 
 
 class TestArcEvictionAudit:
-    def _log_with(self, entry, capacity=2):
-        log = LockstepLog(policy_kind="ARC", adaptation="unit", capacity=capacity)
+    def _log_with(self, entry, capacity=2, adaptation="unit"):
+        log = LockstepLog(policy_kind="ARC", adaptation=adaptation, capacity=capacity)
         log.entries.append(entry)
         return log
 
@@ -267,9 +274,11 @@ class TestArcEvictionAudit:
             trace = gen_fuzz(9, 400, seed=700 + seed)
             assert check_arc_eviction_audit(run_lockstep(trace, 3, "arc")).ok
 
-    def test_planted_directory_miss_prefix_violation(self):
+    @pytest.mark.parametrize("adaptation", ["unit", "ratio"])
+    def test_planted_directory_miss_prefix_violation(self, adaptation):
+        # the ratio row runs no lemma checks, yet its logs take the audit
         entry = _arc_entry(audit_opt=(PrefixSizes(1, 1, 0, 0, 1, 1), (1, 1, 0, 0)))
-        report = check_arc_eviction_audit(self._log_with(entry))
+        report = check_arc_eviction_audit(self._log_with(entry, adaptation=adaptation))
         assert {v.check for v in report.violations} == {"directory_miss_prefix_bound"}
 
     def test_planted_demotion_prefix_violation(self):
@@ -312,6 +321,67 @@ class TestArcEvictionAudit:
     def test_rejects_non_arc_logs(self):
         with pytest.raises(ValueError):
             check_arc_eviction_audit(run_lockstep([1], 2, "clock"))
+
+
+# (log checker, policy, adaptation, check, a clean entry, two planted
+# entries): each planted entry fires the checker at N=2, the clean one not
+CLOCK_HIT = _clock_entry(c_alg=0, phi_after_opt=0, phi_after_alg=0,
+                         outcome=AccessOutcome(was_hit=True))
+AUDITED = [
+    (check_step_inequalities, "clock", None, "potential", CLOCK_HIT,
+     _clock_entry(), _clock_entry(c_opt=1, phi_after_opt=9)),
+    (check_arc_eviction_audit, "arc", "unit", "lemmas", _arc_entry(),
+     _arc_entry(audit_opt=(PrefixSizes(1, 1, 0, 0, 1, 1), (1, 1, 0, 0))),
+     _arc_entry(outcome=AccessOutcome(was_hit=False, evicted_cache_page="v",
+                                      replace_dest="B2", history_hit="B2"),
+                audit_opt=(PrefixSizes(1, 1, 0, 0, 1, 1), (1, 1, 0, 0)),
+                audit_alg=(PrefixSizes(1, 0, 0, 1, 1, 1), (0, 0, 0, 0)))),
+    # CAR's report runs three finds; every one fires on each planted entry
+    (car_step_report, "car", None, "potential", CLOCK_HIT._replace(audit_opt=0, audit_alg=0),
+     _clock_entry(audit_opt=0, audit_alg=3), _clock_entry(c_opt=1, phi_after_opt=400,
+                                                         audit_opt=1, audit_alg=2)),
+]
+
+
+class TestAuditEntries:
+    @pytest.mark.parametrize("checker, name, adaptation, check, clean, first, second", AUDITED)
+    def test_any_iterable_gives_the_log_checkers_findings(
+            self, checker, name, adaptation, check, clean, first, second):
+        entries = [entry._replace(index=i, page="p%d" % i, digest="digest %d" % i)
+                   for i, entry in enumerate([clean, first, clean, second, clean])]
+        spec = analysis._spec_named(name, adaptation)
+        want = checker(LockstepLog(spec.cls.kind, spec.adaptation, 2, list(entries))).violations
+        assert {v.index for v in want} == {1, 3}
+        plan, _ = analysis._check_plan(spec, (check,))
+
+        def drawn():
+            for entry in entries:
+                events.append(("drawn", entry.index))
+                yield entry
+
+        def digest(entry):
+            if entry.index % 2 == 0:
+                raise AssertionError("digest rendered for clean entry %d" % entry.index)
+            events.append(("digest", entry.index))
+            return entry.digest
+
+        for source in (list(entries), drawn()):
+            events = []
+            (report,) = analysis.audit_entries(spec, 2, source, plan, digest).values()
+            assert report.violations == want
+            assert [e for e in events if e[0] == "digest"] == [("digest", 1), ("digest", 3)]
+        # the one-shot stream: each digest before the next entry is drawn
+        assert events == [("drawn", 0), ("drawn", 1), ("digest", 1), ("drawn", 2),
+                          ("drawn", 3), ("digest", 3), ("drawn", 4)]
+
+    def test_car_findings_stay_find_major(self):
+        *_, first, second = AUDITED[2]
+        entries = [first._replace(index=1), second._replace(index=3)]
+        report = car_step_report(LockstepLog("CAR", None, 2, entries))
+        assert [(v.check, v.index) for v in report.violations] == [
+            ("request_bound", 1), ("opt_step_bound", 1), ("opt_step_bound", 3),
+            ("opt_step_fine_bound", 1), ("opt_step_fine_bound", 3),
+            ("sweep_rank_nonincrease", 1), ("sweep_rank_nonincrease", 3)]
 
 
 def plant_directory(cls, n, p=0, t1=(), t2=(), b1=(), b2=()):
@@ -421,7 +491,9 @@ class TestCarStepReport:
     def test_aggregate_still_holds_when_steps_flag(self):
         trace = gen_fuzz(16, 600, seed=1007)
         log = run_lockstep(trace, 8, "car")
-        assert check_aggregate_bound(log.c_alg_total, log.c_opt_total, 8, 21)
+        c_alg = sum(e.c_alg for e in log.entries)
+        c_opt = sum(e.c_opt for e in log.entries)
+        assert check_aggregate_bound(c_alg, c_opt, 8, 21)
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +862,8 @@ BOUND = {"LRU": 1, "CLOCK": 2, "ARC": 4, "CAR": 21}
 
 def reference_verify(name, capacity, trace, adaptation="unit", fail_on_car_step=False):
     log = run_lockstep(trace, capacity, name, adaptation)
+    c_alg = sum(e.c_alg for e in log.entries)
+    c_opt = sum(e.c_opt for e in log.entries)
     kind = log.policy_kind
     ratio = kind == "ARC" and log.adaptation != "unit"
     checks = {}
@@ -809,10 +883,10 @@ def reference_verify(name, capacity, trace, adaptation="unit", fail_on_car_step=
             hard = hard or not audit.ok
     if not ratio:
         c = BOUND[kind]
-        holds = check_aggregate_bound(log.c_alg_total, log.c_opt_total, capacity, c)
+        holds = check_aggregate_bound(c_alg, c_opt, capacity, c)
         checks["aggregate"] = {
-            "bound_multiplier": c, "lhs": log.c_alg_total,
-            "rhs": c * capacity * log.c_opt_total + c * capacity,
+            "bound_multiplier": c, "lhs": c_alg,
+            "rhs": c * capacity * c_opt + c * capacity,
             "additive_constant": c * capacity,
             "final_potential": log.entries[-1].phi_after_alg if log.entries else 0,
             "holds": holds}
@@ -823,13 +897,15 @@ def reference_verify(name, capacity, trace, adaptation="unit", fail_on_car_step=
         hard = hard or bool(state)
     result = {"policy": name, "adaptation": log.adaptation, "cache_size": capacity,
               "trace": "inline:%d" % len(trace), "requests": len(trace),
-              "policy_misses": log.c_alg_total, "opt_misses": log.c_opt_total,
+              "policy_misses": c_alg, "opt_misses": c_opt,
               "checks": checks, "hard_failure": hard}
     return result, hard
 
 
 def reference_simulation(name, capacity, trace, adaptation, checks, fail_on_car_step=False):
     log = run_lockstep(trace, capacity, name, adaptation)
+    c_alg = sum(e.c_alg for e in log.entries)
+    c_opt = sum(e.c_opt for e in log.entries)
     kind = log.policy_kind
     ratio = kind == "ARC" and adaptation != "unit"
     violations = {}
@@ -846,7 +922,7 @@ def reference_simulation(name, capacity, trace, adaptation, checks, fail_on_car_
         for v in report.violations:
             violations[v.check] = violations.get(v.check, 0) + 1
     if "potential" in checks and not ratio and not check_aggregate_bound(
-            log.c_alg_total, log.c_opt_total, capacity, BOUND[kind]):
+            c_alg, c_opt, capacity, BOUND[kind]):
         violations["aggregate_bound"] = 1
         hard = True
     state = reference_state_violations(name, capacity, adaptation, trace)
@@ -854,16 +930,15 @@ def reference_simulation(name, capacity, trace, adaptation, checks, fail_on_car_
         violations["state_invariants"] = len(state)
         hard = True
     lockstep = bool(checks & {"potential", "lemmas"})
-    misses = log.c_alg_total
+    misses = c_alg
     flags = [bool(e.c_alg) for e in log.entries]
     return RunReport(
         policy=name, adaptation=adaptation if name == "arc" else None, cache_size=capacity,
         trace="inline:%d" % len(trace), requests=len(trace), hits=len(trace) - misses,
         misses=misses,
         hit_ratio=Fraction(len(trace) - misses, len(trace)) if trace else None,
-        opt_misses=log.c_opt_total if lockstep else None,
-        miss_to_opt_ratio=(Fraction(misses, log.c_opt_total)
-                           if lockstep and log.c_opt_total else None),
+        opt_misses=c_opt if lockstep else None,
+        miss_to_opt_ratio=Fraction(misses, c_opt) if lockstep and c_opt else None,
         complete_phases=len([p for p in partition_phases(flags, capacity) if p.complete]),
         violations=violations, hard_failure=hard,
     )
@@ -1108,6 +1183,14 @@ class TestOneReplayPath:
             analysis.run_checks([1, 2, 1], 3, "arc", checks=("potental",))
         with pytest.raises(ValueError, match="^unknown checks: bogus, x$"):
             analysis.run_checks([1, 2, 1], 3, "lru", checks=("x", "invariants", "bogus"))
+
+    @pytest.mark.parametrize("checks", ["potential", "invariants,lemmas", ""])
+    def test_a_bare_string_of_checks_raises_naming_it(self, checks):
+        message = "^checks is a collection of check names, not the string %r$" % (checks,)
+        with pytest.raises(ValueError, match=message):
+            analysis.run_checks([1, 2, 1], 3, "arc", checks=checks)
+        with pytest.raises(ValueError, match=message):
+            run_simulation("arc", 3, [1, 2, 1], checks=checks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The benchmark runs in the test suite, so it cannot stop working
-unnoticed: its self-check, and one short checked round of each workload,
-whose output checks also guard the verification pass end to end."""
+unnoticed: its self-check, one short round of each workload and a traced
+round of the checked ones, whose output checks also guard the
+verification pass and the log checkers end to end."""
 
 import json
 import subprocess
@@ -34,8 +35,15 @@ def test_bench_checked_round_reports_correct(workload):
     assert_round_correct(workload)
 
 
-def assert_round_correct(workload):
-    proc = run_bench("--workload", workload, "--seconds", "1")
+@pytest.mark.parametrize("workload", ["verify-zipf", "scan-file"])
+def test_bench_traced_round_reports_correct(workload):
+    # the traced round runs run_lockstep and the three log checkers, and
+    # counts any finding of theirs as a failure
+    assert_round_correct(workload, trace=True)
+
+
+def assert_round_correct(workload, trace=False):
+    proc = run_bench("--workload", workload, "--seconds", "1", "--trace", str(int(trace)))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout + proc.stderr
