@@ -1,8 +1,9 @@
 """Verification layer: potential functions and the trackers that update
 them request by request, lockstep replay against the offline optimum,
 per-step bound/invariant checkers, and run_checks, the one streaming
-pass that drives them all. _check_plan is the one check plan and
-audit_entries the one loop that runs it, over a live stream or a log.
+pass that drives them all. _check_plan, the one check plan, owns every
+report's name, order, assertion and head fields; audit_entries, the one
+loop, runs its finds over a live stream or a log.
 
 Every request is processed in two half-steps: the optimal schedule moves
 first, then the online policy. A potential function maps (policy state,
@@ -462,39 +463,54 @@ class ViolationReport(namedtuple("ViolationReport", "violations")):
         return [v.to_dict() for v in self.violations]
 
 
+# One report of a check plan: its name; finds, the per-entry checks whose
+# findings it lists in order, or live, the structural checker run on the live
+# policy after each request (simulate counts a live report's findings under
+# its name); asserted, whether they fail the run; head, the (field, value)
+# pairs verify prints first; after_aggregate, to list it after the aggregate.
+PlannedReport = namedtuple("PlannedReport", "name finds live asserted head after_aggregate",
+                           defaults=(None, True, (), False))
+
+
 def _check_plan(spec, checks, fail_on_car_step=False):
-    """The row's (report name, find) pairs under the named checks, in
-    report order, and the asserted report names: potential runs
-    step_checks into step, report-only for CAR unless fail_on_car_step;
-    lemmas runs lemma_checks into eviction_audit."""
+    """Every report a run of the row spec makes under checks (names from
+    ALL_CHECKS, else ValueError), in order: step from potential (report-only
+    for CAR unless fail_on_car_step), eviction_audit from lemmas, and
+    state_invariants from invariants, the one run on the live policy."""
+    unknown = set(checks).difference(ALL_CHECKS)
+    if unknown:
+        raise ValueError("unknown checks: %s" % ", ".join(sorted(map(str, unknown))))
     plan = []
-    if "potential" in checks:
-        plan += [("step", find) for find in spec.step_checks]
-    if "lemmas" in checks:
-        plan += [("eviction_audit", find) for find in spec.lemma_checks]
-    return plan, tuple(dict.fromkeys(name for name, _ in plan
-                                     if name != "step" or spec.step_asserted or fail_on_car_step))
+    if "potential" in checks and spec.step_checks:
+        asserted = spec.cls.kind != "CAR" or fail_on_car_step
+        plan.append(PlannedReport("step", spec.step_checks, None, asserted,
+                                  (("mode", "asserted" if asserted else "report-only"),
+                                   ("bound_multiplier", spec.bound))))
+    if "lemmas" in checks and spec.lemma_checks:
+        plan.append(PlannedReport("eviction_audit", spec.lemma_checks))
+    if "invariants" in checks and spec.structural is not None:
+        plan.append(PlannedReport("state_invariants", (), spec.structural, after_aggregate=True))
+    return tuple(plan)
 
 
 def audit_entries(spec, capacity, entries, plan, digest):
-    """Run a check plan over any iterable of LockstepEntry of the row spec
-    at cache size capacity: a kept log, the live stream or a plain list.
-    Returns each report name of the plan, in order, mapped to its
-    ViolationReport: its first find's findings, then the next find's.
+    """Run a check plan's finds over any iterable of LockstepEntry of the
+    row spec at cache size capacity: a kept log, the live stream or a
+    plain list. Returns each report name of the plan, in order, mapped to
+    its ViolationReport: its first find's findings, then the next find's.
     digest(entry) is called once per entry on which a check fires, before
     the next entry is drawn, and never for an entry on which none does."""
-    found = [(find, []) for _, find in plan]
+    found = [[(find, []) for find in planned.finds] for planned in plan]
+    pairs = [pair for report in found for pair in report]
     for entry in entries:
         rendered = None  # the entry's digest and sorted oracle cache, once a check fires
-        for find, listed in found:
+        for find, listed in pairs:
             for step, check, lhs, rhs in find(entry, spec, capacity):
                 if rendered is None:
                     rendered = digest(entry), tuple(sorted(entry.opt_cache, key=canonical_key))
                 listed.append(Violation(entry.index, step, check, lhs, rhs, entry.page, *rendered))
-    reports = {}
-    for (name, _), (_, listed) in zip(plan, found):
-        reports.setdefault(name, ViolationReport()).violations.extend(listed)
-    return reports
+    return {planned.name: ViolationReport([v for _, listed in report for v in listed])
+            for planned, report in zip(plan, found)}
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +547,8 @@ def check_step_inequalities(log):
     if not spec.step_checks:
         raise ValueError("no per-step potential bound is defined for %s with adaptation %r"
                          % (log.policy_kind, log.adaptation))
-    return audit_entries(spec, log.capacity, log.entries, ((None, _step_findings),),
-                         attrgetter("digest"))[None]
+    return audit_entries(spec, log.capacity, log.entries,
+                         (PlannedReport(None, (_step_findings,)),), attrgetter("digest"))[None]
 
 
 def check_aggregate_bound(c_alg_total, c_opt_total, capacity, c):
@@ -593,7 +609,7 @@ def check_arc_eviction_audit(log):
     if log.policy_kind != "ARC":
         raise ValueError("eviction audit applies to ARC logs, got %r" % (log.policy_kind,))
     return audit_entries(_spec_for(log.policy_kind, log.adaptation), log.capacity, log.entries,
-                         ((None, _eviction_findings),), attrgetter("digest"))[None]
+                         (PlannedReport(None, (_eviction_findings,)),), attrgetter("digest"))[None]
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +696,7 @@ def car_step_report(log):
     if log.policy_kind != "CAR":
         raise ValueError("the CAR step report applies to CAR logs, got %r" % (log.policy_kind,))
     spec = _spec_for(log.policy_kind, log.adaptation)
-    (report,) = audit_entries(spec, log.capacity, log.entries, _check_plan(spec, ("potential",))[0],
+    (report,) = audit_entries(spec, log.capacity, log.entries, _check_plan(spec, ("potential",)),
                               attrgetter("digest")).values()
     return report
 
@@ -691,8 +707,7 @@ def car_step_report(log):
 
 class PolicySpec(namedtuple(
         "PolicySpec",
-        "name adaptation cls bound tracker structural step_checks lemma_checks "
-        "step_gated step_asserted")):
+        "name adaptation cls bound tracker structural step_checks lemma_checks step_gated")):
     """One policy variant and every fact its checks need.
 
     name and adaptation select the row; a row whose adaptation is None
@@ -701,14 +716,12 @@ class PolicySpec(namedtuple(
     checked. tracker is the class that holds the row's potential (its
     features and their coefficients) and follows it request by request,
     with the audit the checks read; built fresh on a live policy it is
-    also the from-scratch reference (potential_for). structural is the
-    checker run on the live policy after each request. step_checks run
-    under the potential check and lemma_checks under lemmas, in the order
-    _check_plan gives; each is find(entry, spec, capacity) -> (step,
-    check, lhs, rhs) findings, reading the entry's audit_opt and
-    audit_alg where they need more than phi. step_gated audits a
-    request's step bound only once the cache has filled; step_asserted
-    makes step findings hard failures rather than reports.
+    also the from-scratch reference (potential_for). _check_plan turns
+    the rest into reports: structural, the checker run on the live policy
+    after each request; step_checks and lemma_checks, the finds
+    find(entry, spec, capacity) -> (step, check, lhs, rhs) run under
+    potential and lemmas; and step_gated, which audits a request's step
+    bound only once the cache has filled.
     """
 
     __slots__ = ()
@@ -722,15 +735,13 @@ class PolicySpec(namedtuple(
 # Adding a policy: its class (core.Policy) and one row here; the CLI,
 # compare and every check read this table.
 POLICY_TABLE = (
-    PolicySpec("lru", None, LruCache, 1, _Tracker, None, (), (), False, True),
-    PolicySpec("clock", None, ClockCache, 2, _ClockTracker, None, (_step_findings,), (), False,
-               True),
+    PolicySpec("lru", None, LruCache, 1, _Tracker, None, (), (), False),
+    PolicySpec("clock", None, ClockCache, 2, _ClockTracker, None, (_step_findings,), (), False),
     PolicySpec("arc", ADAPT_UNIT, ArcCache, 4, _ArcTracker, check_arc_structure,
-               (_step_findings,), (_eviction_findings,), True, True),
-    PolicySpec("arc", ADAPT_RATIO, ArcCache, None, _ArcTracker, check_arc_structure, (), (), True,
-               True),
+               (_step_findings,), (_eviction_findings,), True),
+    PolicySpec("arc", ADAPT_RATIO, ArcCache, None, _ArcTracker, check_arc_structure, (), (), True),
     PolicySpec("car", None, CarCache, 21, _CarTracker, check_car_invariants,
-               (_step_findings, _opt_fine_findings, _sweep_rank_findings), (), True, False),
+               (_step_findings, _opt_fine_findings, _sweep_rank_findings), (), True),
 )
 
 
@@ -763,28 +774,25 @@ ALL_CHECKS = ("invariants", "potential", "lemmas")
 
 class Verification(namedtuple(
         "Verification",
-        "spec miss_flags opt_misses final_potential reports asserted aggregate_holds")):
-    """What one run found, for the policy row spec. reports maps the name
-    of each report the run made (step, eviction_audit, state_invariants,
-    in this order) to its ViolationReport; asserted names the reports
-    whose findings fail the run: all but CAR's report-only step report.
-    aggregate_holds is None when the aggregate bound was not checked, and
-    opt_misses when no check needed the oracle."""
+        "spec miss_flags opt_misses final_potential plan reports aggregate_holds")):
+    """What one run found, for the policy row spec: its check plan, in
+    reports each planned report's ViolationReport under its name, in plan
+    order, and aggregate_holds, None when the aggregate bound was not
+    checked (as is opt_misses when no check needed the oracle)."""
 
     __slots__ = ()
 
     @property
     def hard_failure(self):
         return self.aggregate_holds is False or any(
-            not report.ok for name, report in self.reports.items() if name in self.asserted)
+            not self.reports[planned.name].ok for planned in self.plan if planned.asserted)
 
     def violation_counts(self):
-        """Violations per check name; structural ones are summed under
-        state_invariants and a failed aggregate bound counts once."""
+        """Violations per check, or per live report; a failed aggregate once."""
         tally = {}
-        for report in self.reports.values():
+        for planned, report in zip(self.plan, self.reports.values()):
             for v in report.violations:
-                check = "state_invariants" if v.step == "STATE" else v.check
+                check = planned.name if planned.live else v.check
                 tally[check] = tally.get(check, 0) + 1
         if self.aggregate_holds is False:
             tally["aggregate_bound"] = 1
@@ -797,29 +805,25 @@ def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_C
     streaming pass; with no checks it is the plain replay.
 
     checks is a subset of ALL_CHECKS (another name raises ValueError),
-    and the policy's POLICY_TABLE row says what each runs. potential (the
-    step checks and the aggregate bound) and lemmas (the ARC eviction
-    audit) replay in lockstep with the oracle: audit_entries runs
-    _check_plan over the live stream and keeps no entry. Without them no
-    oracle or potential is computed. invariants runs the row's structural
-    checker (ARC, CAR) on the live policy after every request. A policy
-    digest is rendered only after a request on which a check fires, so it
-    shows the state that request left. A checked run raises ValueError on
-    pages whose digest would be ambiguous; an unchecked one accepts any
-    hashable page.
+    and _check_plan gives the reports they make. potential (the step
+    checks and the aggregate bound) and lemmas (the ARC eviction audit)
+    replay in lockstep with the oracle: audit_entries runs the plan's
+    finds over the live stream and keeps no entry. Without them no oracle
+    or potential is computed. A live report's checker runs on the live
+    policy after every request. A policy digest is rendered only after a
+    request on which a check fires, so it shows the state that request
+    left. A checked run raises ValueError on pages whose digest would be
+    ambiguous; an unchecked one accepts any hashable page.
     """
     if isinstance(checks, str):
         raise ValueError("checks is a collection of check names, not the string %r" % (checks,))
     checks = set(checks)
-    unknown = checks.difference(ALL_CHECKS)
-    if unknown:
-        raise ValueError("unknown checks: %s" % ", ".join(sorted(map(str, unknown))))
+    spec = _spec_named(policy_name, adaptation)
+    plan = _check_plan(spec, checks, fail_on_car_step)
     if checks:
         check_page_tokens(trace)
-    spec = _spec_named(policy_name, adaptation)
     policy = spec.make(capacity)
-    plan, asserted = _check_plan(spec, checks, fail_on_car_step)
-    structural = spec.structural if "invariants" in checks else None
+    structural = next((planned.live for planned in plan if planned.live), None)
     state = ViolationReport()
     lockstep = "potential" in checks or "lemmas" in checks
 
@@ -845,24 +849,21 @@ def run_checks(trace, capacity, policy_name, adaptation=ADAPT_UNIT, checks=ALL_C
             yield entry
 
     if lockstep:
-        reports = audit_entries(spec, capacity, served(), plan, lambda entry: policy.digest())
+        found = audit_entries(spec, capacity, served(), plan, lambda entry: policy.digest())
     else:
-        reports = {}
+        found = {}
         request, append = policy.request, miss_flags.append
         for page in trace:
             append(not request(page).was_hit)
             if structural is not None:
                 audit_state(len(miss_flags) - 1)
-    if structural is not None:
-        reports["state_invariants"] = state
-        asserted += ("state_invariants",)
     return Verification(
         spec=spec,
         miss_flags=miss_flags,
         opt_misses=opt_misses if lockstep else None,
         final_potential=final_potential,
-        reports=reports,
-        asserted=asserted,
+        plan=plan,
+        reports={planned.name: state if planned.live else found[planned.name] for planned in plan},
         aggregate_holds=(
             check_aggregate_bound(sum(miss_flags), opt_misses, capacity, spec.bound)
             if "potential" in checks and spec.bound is not None else None

@@ -50,16 +50,17 @@ def _add_run_args(sub, policies, adaptations):
                      help="treat CAR per-step findings as hard failures")
 
 
-def _check_run_flags(args):
-    """Raise ValueError for a run flag the policy would ignore: only a row
-    with an adaptation rule takes --adaptation, and only a row whose step
-    findings are soft takes --fail-on-car-step (opt's own error names it)."""
-    table = analysis.POLICY_TABLE
-    if args.adaptation and args.policy not in {spec.name for spec in table if spec.adaptation}:
+def _check_run_flags(args, checks):
+    """Raise ValueError for a run flag the run would ignore: only a row
+    with an adaptation rule takes --adaptation, and only a check plan with
+    a report-only report --fail-on-car-step (opt's own error names it)."""
+    if args.adaptation and args.policy not in {
+            spec.name for spec in analysis.POLICY_TABLE if spec.adaptation}:
         raise ValueError("policy %s has no adaptation rule to choose; drop --adaptation"
                          % args.policy)
-    if args.fail_on_car_step and args.policy in {spec.name for spec in table
-                                                 if spec.step_asserted}:
+    if args.fail_on_car_step and args.policy != "opt" and all(
+            planned.asserted for planned in analysis._check_plan(
+                analysis._spec_named(args.policy, args.adaptation or ADAPT_UNIT), checks)):
         raise ValueError("policy %s has no CAR step findings to fail on; "
                          "drop --fail-on-car-step" % args.policy)
 
@@ -101,6 +102,7 @@ def build_parser():
 
     verify = sub.add_parser("verify", help="lockstep replay with all checkers; emits JSON")
     _add_run_args(verify, policies, adaptations)
+    verify.set_defaults(checks=",".join(analysis.ALL_CHECKS))
     _add_trace_args(verify)
 
     gen = sub.add_parser("gen-trace", help="write a generated workload as trace text")
@@ -126,12 +128,12 @@ def main(argv=None):
             return 0
 
         if args.command in ("simulate", "verify"):
-            _check_run_flags(args)
+            checks = tuple(name for name in map(str.strip, args.checks.split(",")) if name)
+            _check_run_flags(args, checks)
         trace, label = _load_trace(args)
 
         if args.command == "simulate":
             fmt = args.format or _default_format()  # before the replay, to fail fast
-            checks = tuple(name for name in map(str.strip, args.checks.split(",")) if name)
             report = run_simulation(
                 args.policy, args.cache_size, trace,
                 adaptation=args.adaptation or ADAPT_UNIT, checks=checks, trace_label=label,

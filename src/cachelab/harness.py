@@ -104,14 +104,12 @@ def verify_trace(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
     run = run_checks(trace, capacity, name, adaptation, fail_on_car_step=fail_on_car_step)
     misses = sum(run.miss_flags)
     c = run.spec.bound
-    checks = {}
-    for check, report in run.reports.items():
-        mode = "asserted" if check in run.asserted else "report-only"
-        head = {"mode": mode, "bound_multiplier": c} if check == "step" else {}
-        checks[check] = dict(head, violation_count=len(report.violations),
-                            violations=report.to_dicts())
+    blocks = ({}, {})  # the plan's reports before the aggregate block, and after it
+    for planned, report in zip(run.plan, run.reports.values()):
+        blocks[planned.after_aggregate][planned.name] = dict(
+            planned.head, violation_count=len(report.violations), violations=report.to_dicts())
     if run.aggregate_holds is not None:
-        checks["aggregate"] = {
+        blocks[0]["aggregate"] = {
             "bound_multiplier": c,
             "lhs": misses,
             "rhs": c * capacity * run.opt_misses + c * capacity,
@@ -119,8 +117,6 @@ def verify_trace(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
             "final_potential": run.final_potential,
             "holds": run.aggregate_holds,
         }
-    if "state_invariants" in checks:  # listed after the aggregate
-        checks["state_invariants"] = checks.pop("state_invariants")
     result = {
         "policy": name,
         "adaptation": run.spec.adaptation,
@@ -129,7 +125,7 @@ def verify_trace(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
         "requests": len(trace),
         "policy_misses": misses,
         "opt_misses": run.opt_misses,
-        "checks": checks,
+        "checks": {**blocks[0], **blocks[1]},
         "hard_failure": run.hard_failure,
     }
     return result, run.hard_failure

@@ -352,7 +352,7 @@ class TestAuditEntries:
         spec = analysis._spec_named(name, adaptation)
         want = checker(LockstepLog(spec.cls.kind, spec.adaptation, 2, list(entries))).violations
         assert {v.index for v in want} == {1, 3}
-        plan, _ = analysis._check_plan(spec, (check,))
+        plan = analysis._check_plan(spec, (check,))
 
         def drawn():
             for entry in entries:
@@ -1145,7 +1145,7 @@ class TestOneReplayPath:
             flags = [not policy.request(page).was_hit for page in trace]
             run = analysis.run_checks(trace, capacity, row.name, adaptation, checks=())
             assert [bool(flag) for flag in run.miss_flags] == flags
-            assert (run.opt_misses, run.reports, run.asserted) == (None, {}, ())
+            assert (run.opt_misses, run.reports, run.plan) == (None, {}, ())
             misses = sum(flags)
             want = RunReport(
                 policy=row.name, adaptation=row.adaptation, cache_size=capacity,
@@ -1202,8 +1202,11 @@ class TestPolicyTable:
         rows = [(spec.name, spec.adaptation, spec.bound) for spec in analysis.POLICY_TABLE]
         assert rows == [("lru", None, 1), ("clock", None, 2), ("arc", "unit", 4),
                         ("arc", "ratio", None), ("car", None, 21)]
-        assert [spec.name for spec in analysis.POLICY_TABLE
-                if not spec.step_asserted] == ["car"]
+        # the one soft report, CAR's step report, is the plan's to make
+        for fail in (False, True):
+            assert [spec.name for spec in analysis.POLICY_TABLE
+                    if not all(planned.asserted for planned in analysis._check_plan(
+                        spec, analysis.ALL_CHECKS, fail))] == ([] if fail else ["car"])
 
     def test_make_policy_reads_the_table(self):
         assert type(make_policy("LRU", 2, "ratio")) is LruCache
@@ -1301,3 +1304,60 @@ class TestPolicyTable:
         assert [(e.index, *f[2:]) for e in log.entries for f in counted_miss(e, row, 4)] == want
         assert [(e.audit_opt, e.audit_alg) for e in log.entries if e.c_alg] == [
             (k, k + 1) for k in range(len(miss_at))]
+
+
+# ---------------------------------------------------------------------------
+# the check plan, against README's table of verify blocks
+
+
+# each row's report under each check, and its verify blocks in order
+PLANNED = {
+    ("lru", None): ({}, ["aggregate"]),
+    ("clock", None): ({"potential": "step"}, ["step", "aggregate"]),
+    ("arc", "unit"): ({"potential": "step", "lemmas": "eviction_audit",
+                       "invariants": "state_invariants"},
+                      ["step", "eviction_audit", "aggregate", "state_invariants"]),
+    ("arc", "ratio"): ({"invariants": "state_invariants"}, ["state_invariants"]),
+    ("car", None): ({"potential": "step", "invariants": "state_invariants"},
+                    ["step", "aggregate", "state_invariants"]),
+}
+REPORT_ORDER = ("step", "eviction_audit", "state_invariants")
+BOUNDS = {"lru": 1, "clock": 2, "arc": 4, "car": 21}
+
+
+class TestCheckPlan:
+    @pytest.mark.parametrize("fail", [False, True])
+    @pytest.mark.parametrize("row", analysis.POLICY_TABLE,
+                             ids=lambda row: "%s-%s" % (row.name, row.adaptation))
+    def test_reports_and_blocks_follow_the_readme_table(self, row, fail):
+        made, blocks = PLANNED[row.name, row.adaptation]
+        soft_step = row.name == "car" and not fail
+        trace = gen_fuzz(6, 120, seed=31)
+        adaptation = row.adaptation or "unit"
+        for checks in [()] + CHECK_SETS:
+            run = analysis.run_checks(trace, 3, row.name, adaptation, checks, fail)
+            want = [name for name in REPORT_ORDER
+                    if name in {made[check] for check in checks if check in made}]
+            assert list(run.reports) == want, checks
+            assert [planned.name for planned in run.plan if planned.asserted] == [
+                name for name in want if not (name == "step" and soft_step)], checks
+        result, _ = verify_trace(row.name, 3, trace, adaptation, fail_on_car_step=fail)
+        assert list(result["checks"]) == blocks
+        if "step" in blocks:
+            step = result["checks"]["step"]
+            assert list(step)[:2] == ["mode", "bound_multiplier"]
+            assert (step["mode"], step["bound_multiplier"]) == (
+                "report-only" if soft_step else "asserted", BOUNDS[row.name])
+        for name in ("eviction_audit", "state_invariants"):
+            if name in blocks:
+                assert list(result["checks"][name]) == ["violation_count", "violations"]
+
+    def test_a_state_violation_renders_no_page_and_no_oracle_cache(self, monkeypatch):
+        # ARC pushes its target out of range on page 4
+        plant_arc_defect(monkeypatch, lambda arc: setattr(arc, "p", arc.capacity + 1))
+        result, hard = verify_trace("arc", 3, gen_fuzz(6, 40, seed=3))
+        state = result["checks"]["state_invariants"]
+        assert hard and state["violation_count"] == 10
+        assert state["violations"][0] == {
+            "index": 7, "step": "STATE", "check": "target_range", "lhs": "4", "rhs": "3",
+            "page": "None", "digest": "ARC p=4 T1=[4] T2=[0,3] B1=[1,5] B2=[]", "opt_cache": []}

@@ -118,7 +118,12 @@ RUN_FLAG_ERRORS = {
                           ("car", ("--adaptation", "unit")), ("car", ("--adaptation", "ratio")),
                           ("lru", ("--fail-on-car-step",)), ("clock", ("--fail-on-car-step",)),
                           ("arc", ("--fail-on-car-step",)),
-                          ("opt", ("--adaptation", "unit"))]
+                          ("opt", ("--adaptation", "unit"))] + [
+                             # CAR's checks without a step report: nothing to fail on
+                             ("car", ("--fail-on-car-step", *checks))
+                             for checks in [(), ("--checks", "invariants"), ("--checks", "lemmas"),
+                                            ("--checks", "invariants,lemmas")]
+                             if command == "simulate"]
     if command == "simulate" or policy != "opt"
 ])
 def test_run_flags_the_policy_would_ignore_exit_two(capsys, command, policy, flags):
@@ -126,6 +131,13 @@ def test_run_flags_the_policy_would_ignore_exit_two(capsys, command, policy, fla
                              "--workload", "cycle:k=4,length=20", *flags)
     assert (code, out) == (2, "")
     assert err == "error: " + RUN_FLAG_ERRORS[flags[0]] % policy
+
+
+def test_unknown_checks_are_named_before_the_step_flag(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--policy", "car", "--cache-size", "3",
+                             "--workload", "cycle:k=4,length=20", "--checks", "potental",
+                             "--fail-on-car-step")
+    assert (code, out, err) == (2, "", "error: unknown checks: potental\n")
 
 
 def test_arc_without_adaptation_runs_unit(capsys):

@@ -155,6 +155,21 @@ class TestEmitReport:
             assert main(argv) == 0, argv
             assert capsys.readouterr().out == "".join(expected), argv
 
+    def test_check_reports_match_their_golden_file(self, capsys):
+        # check_reports_golden.txt holds one "$ argv  # exit N" line per CLI run, then its
+        # stdout: the report names, order, modes and counts of checked runs
+        runs = []
+        for line in (DATA / "check_reports_golden.txt").read_text().splitlines(keepends=True):
+            if line.startswith("$ "):
+                argv, status = line[2:].split("  # exit ")
+                runs.append((argv.split(), int(status), []))
+            else:
+                runs[-1][2].append(line)
+        assert [status for _, status, _ in runs] == [1, 1, 0, 0, 0, 0]
+        for argv, status, expected in runs:
+            assert main(argv) == status, argv
+            assert capsys.readouterr().out == "".join(expected), argv
+
 
 class TestVerifyTrace:
     def test_arc_report_structure(self):
