@@ -65,6 +65,104 @@ def _check_run_flags(args, checks):
                          "drop --fail-on-car-step" % args.policy)
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_share(rows, run):
+    """(reports, exc): run over rows until one raises exc, else exc is None."""
+    reports = []
+    try:
+        for row in rows:
+            reports.append(run(row))
+    except BaseException as exc:  # _run_rows raises it again, in row order
+        return reports, exc
+    return reports, None
+
+
+def _run_rows(rows, run):
+    """[run(row) for row in rows], with the rows dealt round-robin to
+    W = min(len(rows), usable CPUs) processes: this one runs share 0 and
+    W - 1 forked children the others, each sending its reports back
+    pickled through its own pipe. Without os.fork, with other threads
+    running or on one CPU it is that loop in this process. Either way it
+    raises what the loop raises: the exception of the first failing row.
+    A child that dies without a result fails its share's first row with
+    an OSError naming its exit status."""
+    import threading
+
+    workers = min(len(rows), _usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [run(row) for row in rows]
+    import gc
+    import pickle
+    import signal
+
+    shares = [rows[share::workers] for share in range(workers)]
+    outcomes = {}  # share -> (reports, exc), as _run_share returns it
+    children = {}  # share -> (pid, read end of its pipe), until reaped
+    try:
+        gc.freeze()  # the children neither copy nor collect what exists now
+        try:
+            for share in range(1, workers):
+                read_end, write_end = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # this process runs the share itself
+                    os.close(read_end)
+                    os.close(write_end)
+                    continue
+                if pid == 0:
+                    # the write end stays open only here, so a dead child reads as EOF
+                    os.close(read_end)
+                    for _, pipe in children.values():
+                        pipe.close()
+                    status = 1
+                    try:
+                        data = pickle.dumps(_run_share(shares[share], run))
+                        with open(write_end, "wb") as pipe:
+                            pipe.write(data)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(write_end)
+                children[share] = (pid, open(read_end, "rb"))
+        finally:
+            gc.unfreeze()
+        for share in range(workers):
+            if share not in children:
+                outcomes[share] = _run_share(shares[share], run)
+        for share, (pid, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[share]
+            if code == 0:
+                outcomes[share] = pickle.loads(data)
+            else:
+                outcomes[share] = [], OSError(
+                    "compare worker process %s without sending its rows"
+                    % ("exited with status %d" % code if code > 0
+                       else "was killed by signal %d" % -code))
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    reports = [None] * len(rows)
+    failures = []
+    for share, (done, exc) in outcomes.items():
+        reports[share:share + workers * len(done):workers] = done
+        if exc is not None:
+            failures.append((share + workers * len(done), exc))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return reports
+
+
 def _load_trace(args):
     if args.workload is not None:
         spec = parse_workload(args.workload, default_seed=args.seed)
@@ -144,13 +242,9 @@ def main(argv=None):
 
         if args.command == "compare":
             fmt = args.format or _default_format()
-            reports = []
-            runs = [(spec.name, spec.adaptation) for spec in analysis.POLICY_TABLE]
-            for policy, adaptation in runs + [("opt", None)]:
-                report = run_simulation(
-                    policy, args.cache_size, trace, adaptation=adaptation, trace_label=label,
-                )
-                reports.append(report)
+            rows = [(spec.name, spec.adaptation) for spec in analysis.POLICY_TABLE]
+            reports = _run_rows(rows + [("opt", None)], lambda row: run_simulation(
+                row[0], args.cache_size, trace, adaptation=row[1], trace_label=label))
             opt_misses = reports[-1].misses  # the opt run comes last
             for report in reports:
                 if report.opt_misses is None:

@@ -53,7 +53,7 @@ def run_simulation(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
     violations per check. CAR per-step findings are observational and
     only flip the report's hard_failure when fail_on_car_step is set.
     The policy "opt" is the oracle itself: it reads belady_run's miss
-    flags, and asking it for checks raises ValueError.
+    count, and asking it for checks raises ValueError.
     """
     check_capacity(capacity)
     label = trace_label if trace_label is not None else "inline:%d" % len(trace)
@@ -62,15 +62,14 @@ def run_simulation(policy_name, capacity, trace, adaptation=ADAPT_UNIT,
         for flag, given in (("--checks", checks), ("--fail-on-car-step", fail_on_car_step)):
             if given:
                 raise ValueError("policy opt is the oracle and runs no checks; drop %s" % flag)
-        miss_flags = belady_run(trace, capacity).miss_flags()
-        opt_misses, adaptation, violations, hard = sum(miss_flags), None, {}, False
+        misses = opt_misses = belady_run(trace, capacity).miss_count
+        adaptation, violations, hard = None, {}, False
     else:
         run = run_checks(trace, capacity, name, adaptation, checks, fail_on_car_step)
-        miss_flags, opt_misses, adaptation = run.miss_flags, run.opt_misses, run.spec.adaptation
+        misses, opt_misses, adaptation = sum(run.miss_flags), run.opt_misses, run.spec.adaptation
         violations, hard = run.violation_counts(), run.hard_failure
 
     total = len(trace)
-    misses = sum(miss_flags)
     hits = total - misses
     return RunReport(
         policy=name,

@@ -1,7 +1,12 @@
 import contextlib
+import fcntl
 import io
 import json
+import os
+import signal
+import stat
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -369,6 +374,165 @@ def test_an_added_row_reaches_the_cli(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--policy", "lru2", "--cache-size", "3",
                            "--workload", "cycle:k=4,length=40")
     assert code == 0 and json.loads(out)["checks"]["aggregate"]["bound_multiplier"] == 1
+
+# ---------------------------------------------------------------------------
+# compare deals its rows to one process per usable CPU
+
+ROWS = [(spec.name, spec.adaptation) for spec in analysis.POLICY_TABLE] + [("opt", None)]
+
+
+def with_cpus(monkeypatch, cpus):
+    """Let compare see `cpus` usable CPUs; returns the list of the pids it forks."""
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("source", [
+    ("--cache-size", "64", "--workload", "zipf:universe=1000,alpha=0.9,length=4000,seed=1"),
+    ("--cache-size", "3", "--workload", "fuzz:universe=10,length=2000,seed=5"),
+    ("--cache-size", "3", "--trace", "-"),
+])
+def test_compare_output_is_the_same_for_every_worker_count(capsys, monkeypatch, fmt, source):
+    monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(b"")})())
+    argv = ("compare", "--format", fmt) + source
+    with_cpus(monkeypatch, 1)
+    serial = run_cli(capsys, *argv)
+    assert serial[0] == 0 and serial[1] and not serial[2]
+    for cpus in (2, 3, 6, 8):
+        forked = with_cpus(monkeypatch, cpus)
+        assert run_cli(capsys, *argv) == serial
+        assert len(forked) == min(cpus, len(ROWS)) - 1
+        assert_no_child_left()
+
+
+def fail_on_rows(monkeypatch, failures):
+    """Make cli.run_simulation call failures[row]() on the rows it names."""
+    run_simulation = cli.run_simulation
+
+    def run(policy, capacity, trace, adaptation=None, **kwargs):
+        fail = failures.get(ROWS.index((policy, adaptation)))
+        if fail is not None:
+            fail()
+        return run_simulation(policy, capacity, trace, adaptation=adaptation, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", run)
+
+
+def raiser(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 6])
+@pytest.mark.parametrize("failures, code, err", [
+    ({0: raiser(ValueError("row 0"))}, 2, "error: row 0\n"),
+    ({1: raiser(ValueError("row 1"))}, 2, "error: row 1\n"),
+    ({1: raiser(ValueError("row 1")), 2: raiser(ValueError("row 2"))}, 2, "error: row 1\n"),
+    ({2: raiser(ValueError("row 2")), 5: raiser(OSError("row 5"))}, 2, "error: row 2\n"),
+    ({1: raiser(KeyboardInterrupt)}, 130, "error: interrupted\n"),
+])
+def test_compare_raises_the_first_failing_rows_error(capsys, monkeypatch, cpus, failures,
+                                                     code, err):
+    fail_on_rows(monkeypatch, failures)
+    with_cpus(monkeypatch, cpus)
+    assert run_cli(capsys, "compare", "--cache-size", "3",
+                   "--workload", "fuzz:universe=10,length=200,seed=5") == (code, "", err)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 6])
+def test_a_child_that_dies_without_its_rows_exits_two(capsys, monkeypatch, cpus):
+    parent = os.getpid()
+
+    def die():
+        assert os.getpid() != parent, "row 1 ran in this process"
+        os._exit(3)
+
+    fail_on_rows(monkeypatch, {1: die})
+    with_cpus(monkeypatch, cpus)
+    assert run_cli(capsys, "compare", "--cache-size", "3",
+                   "--workload", "fuzz:universe=10,length=200,seed=5") == (
+        2, "", "error: compare worker process exited with status 3 without sending its rows\n")
+    assert_no_child_left()
+
+
+def test_an_interrupt_while_waiting_kills_and_reaps_the_children(capsys, monkeypatch):
+    parent = os.getpid()
+
+    def interrupted(signum, frame):
+        raise KeyboardInterrupt
+
+    def arm():  # row 0 is the whole of this process's share at 6 workers
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+
+    def hang():
+        assert os.getpid() != parent, "row 1 ran in this process"
+        time.sleep(60)
+
+    fail_on_rows(monkeypatch, {0: arm, 1: hang})
+    with_cpus(monkeypatch, 6)
+    saved = signal.signal(signal.SIGALRM, interrupted)
+    start = time.monotonic()
+    try:
+        result = run_cli(capsys, "compare", "--cache-size", "3",
+                         "--workload", "fuzz:universe=10,length=200,seed=5")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, saved)
+    assert result == (130, "", "error: interrupted\n")
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_each_write_end_is_open_only_in_its_own_child(capsys, monkeypatch, tmp_path):
+    def pipe_ends():
+        ends = {}
+        for fd in range(3, 1024):
+            try:
+                mode = os.fstat(fd).st_mode
+            except OSError:
+                continue
+            if stat.S_ISFIFO(mode):
+                ends[fd] = fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE
+        return ends
+
+    before = pipe_ends()
+
+    def record(row):
+        def fail():  # fails nothing: notes the pipe ends open in the row's process
+            new = sorted(mode for fd, mode in pipe_ends().items() if fd not in before)
+            (tmp_path / str(row)).write_text(json.dumps([os.getpid(), new]))
+        return fail
+
+    fail_on_rows(monkeypatch, {row: record(row) for row in range(len(ROWS))})
+    forked = with_cpus(monkeypatch, 3)
+    code, _, _ = run_cli(capsys, "compare", "--cache-size", "3",
+                         "--workload", "fuzz:universe=10,length=200,seed=5")
+    assert code == 0 and len(forked) == 2
+    seen = [json.loads((tmp_path / str(row)).read_text()) for row in range(len(ROWS))]
+    for row, (pid, ends) in enumerate(seen):
+        if row % 3 == 0:  # this process: the read end of each child's pipe
+            assert (pid, ends) == (os.getpid(), [os.O_RDONLY] * 2)
+        else:  # a child: its own write end alone
+            assert (pid, ends) == (forked[row % 3 - 1], [os.O_WRONLY])
+    assert_no_child_left()
 
 # ---------------------------------------------------------------------------
 # fuzzing: random argv from a small grammar, random trace bytes on stdin

@@ -1,7 +1,8 @@
 """Records are tuples, not dataclasses, and `import cachelab` is lazy.
 
 Every CLI command is a fresh interpreter that imports cachelab before it
-reads a request, and `import dataclasses` alone loads inspect, ast and dis.
+reads a request, and `import dataclasses` alone loads inspect, ast and dis;
+pickle is loaded only by a compare that forks.
 The package exports each name from its home module on first use, so
 reading a trace file loads only traces and generating one only workloads.
 """
@@ -57,9 +58,10 @@ def run_cold(code):
 
 @pytest.mark.parametrize("module", ["cachelab", "cachelab.cli"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
-    # -S: no site hook may preload either module and hide an import
-    code = ("import sys, %s; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-            % module)
+    # -S: no site hook may preload a module and hide an import; compare
+    # loads what it needs to fork and pickle only when it runs
+    code = ("import sys, %s; print(sorted({'dataclasses', 'inspect', 'pickle', "
+            "'multiprocessing', 'concurrent'} & set(sys.modules)))" % module)
     done = subprocess.run([sys.executable, "-S", "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=60)
